@@ -62,7 +62,9 @@ from repro.core.explain import DBSherlock  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
 from repro.data.regions import Region, RegionSpec  # noqa: E402
 from repro.fleet import FleetDetector, FleetSimSource  # noqa: E402
+from repro.fleet.engine import TICK_STAGES  # noqa: E402
 from repro.fleet.scheduler import FleetScheduler  # noqa: E402
+from repro.obs import metrics  # noqa: E402
 from repro.stream.detector import StreamingDetector  # noqa: E402
 
 SCALES = {
@@ -169,6 +171,15 @@ def _assert_fleet_ticks_match(a, b) -> None:
     assert a.closed == b.closed, "closed regions diverge"
 
 
+def _stage_totals() -> dict:
+    """``stage -> (observations, seconds)`` of the tick stage family."""
+    family = metrics.REGISTRY.get("repro_fleet_stage_seconds")
+    return {
+        stage: (family.labels(stage).count, family.labels(stage).sum)
+        for stage in TICK_STAGES
+    }
+
+
 def run_bench(
     scale: str = "bench",
     write_json: bool = True,
@@ -204,6 +215,7 @@ def run_bench(
         for s in mirror_streams
     }
 
+    stages_before = _stage_totals()
     tick_seconds = []
     verdict_lat = []
     streams_served = 0
@@ -229,6 +241,10 @@ def run_bench(
             f"stream {s}: checkpoint diverges"
         )
 
+    stage_ms = {}
+    for stage, (n, total) in _stage_totals().items():
+        n0, total0 = stages_before[stage]
+        stage_ms[stage] = round((total - total0) / (n - n0) * 1e3, 3)
     ticks = np.asarray(tick_seconds)
     lats = np.concatenate(verdict_lat)
     amortized_us = ticks.sum() / streams_served * 1e6
@@ -254,6 +270,8 @@ def run_bench(
             "p99": round(float(np.percentile(lats, 99)) * 1e3, 4),
             "n": int(lats.size),
         },
+        # mean wall time per tick of each FleetDetector.tick stage
+        "stage_ms_per_tick": stage_ms,
         "mirrored_streams": sorted(mirrors),
         # _assert_stream_equal / the checkpoint loop would have raised
         "bitwise_equal_to_per_stream": True,
@@ -449,6 +467,11 @@ def _report(summary: dict) -> None:
         f"tick-to-verdict   p50={lat['p50']:9.4f}ms "
         f"p90={lat['p90']:9.4f}ms p99={lat['p99']:9.4f}ms "
         f"(n={lat['n']})"
+    )
+    stages = summary["stage_ms_per_tick"]
+    print(
+        "tick stages (mean ms): "
+        + " ".join(f"{k}={v}" for k, v in stages.items())
     )
     print(
         f"amortized per stream: {summary['amortized_us_per_stream']:.3f}us "

@@ -10,8 +10,8 @@ actually changed.  The engine is asserted bitwise-equal to N independent
 
 Layers, bottom up:
 
-* :mod:`repro.fleet.bank` — batched sorted-multiset order statistics;
-* :mod:`repro.fleet.arena` — the columnar ring + Equation 4 stats;
+* :mod:`repro.fleet.arena` — the columnar ring, with Equation 4 order
+  statistics read by sorting it;
 * :mod:`repro.fleet.engine` — the vectorized detector pipeline;
 * :mod:`repro.fleet.scheduler` — multi-tenant diagnosis scheduling,
   backpressure/shed policies, deadline tiers with degraded fallbacks,
@@ -29,7 +29,6 @@ a fault-free run (asserted by ``benchmarks/bench_fleet_chaos.py``).
 """
 
 from repro.fleet.arena import ArenaStats, ArenaWindow, FleetArena
-from repro.fleet.bank import SortedWindowBank
 from repro.fleet.engine import FleetDetector, FleetTick
 from repro.fleet.health import (
     HEALTH_STATES,
@@ -56,7 +55,6 @@ __all__ = [
     "RecoveryReport",
     "SHED_POLICIES",
     "SchedulerReport",
-    "SortedWindowBank",
     "TenantRecovery",
     "read_health_journal",
 ]

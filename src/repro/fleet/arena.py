@@ -5,18 +5,26 @@ All N tenants' current telemetry windows live in one contiguous
 double-write layout as the single-stream
 :class:`~repro.stream.window.RingBufferWindow`, so any stream's window
 is always a zero-copy contiguous slice regardless of where its ring has
-wrapped.  Appending a fleet-wide tick and maintaining every lane's
-order statistics (overall median, trailing-``w`` median, buffer min/max,
-window-median extrema — everything Equation 4 needs) costs a fixed
-number of dense numpy calls over the whole fleet:
+wrapped.  Every lane's order statistics (overall median, trailing-``w``
+median, buffer min/max, window-median extrema — everything Equation 4
+needs) come from sorting that ring, a fixed number of dense numpy calls
+over the whole fleet:
 
-* two :class:`~repro.fleet.bank.SortedWindowBank` updates (the whole
-  buffer and the trailing ``w`` samples);
-* one scatter of the freshly completed window medians into a NaN-padded
-  ``(streams, attributes, capacity − w + 1)`` FIFO ring, whose
+* :meth:`FleetArena.append` gathers each lane's last ``w`` samples (one
+  contiguous run ending at the write slot's upper copy), sorts them,
+  and scatters the completed window medians into a NaN-padded
+  ``(capacity − w + 1, streams, attributes)`` FIFO ring, whose
   ``fmin/fmax`` reduction reproduces the single-stream
   :class:`~repro.stream.median.SlidingExtrema` over window medians
-  (min/max are order-independent, so ring rotation is immaterial).
+  (min/max are order-independent, so ring rotation is immaterial);
+* :meth:`FleetArena.stats` sorts the lower copy of the ring — a
+  stream's retained rows in ring order plus never-written ``+inf``
+  slots, and order inside the ring does not matter to a sort — and
+  reads median, min and max off the sorted rows.
+
+Medians use ``(S[(n-1)//2] + S[n//2]) / 2`` over the sorted lane — the
+exact ``np.median`` reduction, and therefore the exact
+:meth:`~repro.stream.median.SlidingMedian.median`.
 
 :class:`ArenaWindow` adapts one stream's slice of the arena to the
 read interface of :class:`~repro.stream.window.RingBufferWindow`
@@ -31,11 +39,27 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.data.dataset import Dataset
-from repro.fleet.bank import SortedWindowBank
 
 __all__ = ["ArenaStats", "ArenaWindow", "FleetArena"]
+
+
+def _median_of_sorted(ordered: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.median`` of the first *n* entries of each sorted lane.
+
+    *ordered* is ``(streams, attrs, k)`` sorted ascending on the last
+    axis; *n* is ``(streams,)`` (lanes of one stream share a count).
+    An odd count reads the middle element as is, exactly as
+    ``np.median`` does, rather than averaging it with itself.
+    """
+    rows = np.arange(ordered.shape[0])
+    k1 = np.maximum((n - 1) // 2, 0)
+    k2 = np.minimum(n // 2, ordered.shape[2] - 1)
+    lo = ordered[rows, :, k1]
+    hi = ordered[rows, :, k2]
+    return np.where((k1 == k2)[:, None], lo, (lo + hi) / 2.0)
 
 
 @dataclass
@@ -66,8 +90,7 @@ class FleetArena:
         Ring length per stream — the detection window, in rows.
     window:
         Equation 4 sliding-window width ``w``; must not exceed
-        *capacity* (the trailing-window bookkeeping reads the sample
-        that slides out of the last ``w`` from the ring).
+        *capacity* (the trailing window is read from the ring).
     """
 
     def __init__(
@@ -96,16 +119,23 @@ class FleetArena:
             a: j for j, a in enumerate(self.attributes)
         }
         self._ts = np.zeros((S, 2 * cap))
-        self._vals = np.zeros((S, A, 2 * cap))
+        # Slots start at +inf.  A stream only ever gains rows or
+        # overwrites its oldest, so the lower copy holds exactly its
+        # retained rows plus never-written +inf slots, which sort last.
+        self._vals = np.full((S, A, 2 * cap), np.inf)
         #: total rows ever appended per stream (monotone; checkpoint
         #: restore re-bases it so replayed rows keep their sequence math).
         self.appended = np.zeros(S, dtype=np.int64)
-        #: rows currently retained per stream.
+        #: rows currently retained per stream (counted since creation or
+        #: restore, so it — not ``appended`` — says whether a lane holds
+        #: a full trailing window).
         self.sizes = np.zeros(S, dtype=np.int64)
-        self._overall = SortedWindowBank(S * A, cap)
-        self._trailing = SortedWindowBank(S * A, self.window)
+        self._rows = np.arange(S)
         self._ring_len = cap - self.window + 1
-        self._medring = np.full((S, A, self._ring_len), np.nan)
+        # Ring-major so the per-tick extrema reduce over the leading
+        # axis: elementwise fmin/fmax of contiguous (streams, attrs)
+        # planes instead of thousands of short strided reductions.
+        self._medring = np.full((self._ring_len, S, A), np.nan)
 
     # ------------------------------------------------------------------
     def append(
@@ -117,23 +147,11 @@ class FleetArena:
         float64, *active* a bool mask of streams receiving a row this
         tick.  Inactive streams are untouched.
         """
-        S, A, cap = self.n_streams, len(self.attributes), self.capacity
+        cap, w = self.capacity, self.window
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
-        slot = (self.appended % cap).astype(np.int64)
-
-        # Values leaving each lane, read before the slot is overwritten:
-        # the buffer row evicted from a full ring sits exactly at the
-        # write slot, and the sample sliding out of the trailing window
-        # (sequence ``appended − w``) is still retained because w ≤ cap.
-        evicted = np.take_along_axis(self._vals, slot[:, None, None], 2)[
-            :, :, 0
-        ]
-        w_slot = ((self.appended - self.window) % cap).astype(np.int64)
-        trailing_out = np.take_along_axis(
-            self._vals, w_slot[:, None, None], 2
-        )[:, :, 0]
+        slot = self.appended % cap
 
         rows = np.nonzero(active)[0]
         wslots = slot[rows]
@@ -141,45 +159,43 @@ class FleetArena:
         self._ts[rows, wslots + cap] = times[rows]
         self._vals[rows, :, wslots] = values[rows]
         self._vals[rows, :, wslots + cap] = values[rows]
+        sizes = self.sizes + (active & (self.sizes < cap))
 
-        lane_active = np.repeat(active, A)
-        vals_flat = values.reshape(S * A)
-        self._overall.replace(vals_flat, lane_active, evicted.reshape(S * A))
-        self._trailing.replace(
-            vals_flat, lane_active, trailing_out.reshape(S * A)
-        )
-
-        # Lanes whose trailing window just completed publish its median
+        # Streams whose trailing window is complete publish its median
         # into the FIFO ring, keyed (mod ring length) by the row's
         # sequence number — precisely the window medians the
-        # single-stream tracker's extrema deques hold live.
-        eligible = lane_active & (self._trailing.counts == self.window)
-        if eligible.any():
-            meds = self._trailing.medians()
-            ring_slot = np.repeat(self.appended % self._ring_len, A)
-            flat = self._medring.reshape(S * A, self._ring_len)
-            lanes = np.nonzero(eligible)[0]
-            flat[lanes, ring_slot[lanes]] = meds[lanes]
+        # single-stream tracker's extrema deques hold live.  The last w
+        # samples are one contiguous run ending at the write slot's
+        # upper copy, read through a sliding-window view of the ring.
+        ready = np.nonzero(active & (sizes >= w))[0]
+        if ready.size:
+            runs = sliding_window_view(self._vals, w, axis=2)
+            trailing = runs[self._rows, :, slot + (cap - w + 1)]
+            trailing.sort(axis=2)
+            meds = _median_of_sorted(trailing, np.full(self.n_streams, w))
+            ring_slot = self.appended[ready] % self._ring_len
+            self._medring[ring_slot, ready] = meds[ready]
 
         self.appended = self.appended + active
-        self.sizes = self.sizes + (active & (self.sizes < cap))
+        self.sizes = sizes
 
     # ------------------------------------------------------------------
     def stats(self) -> ArenaStats:
         """Bounds and Equation 4 potential power for every lane at once."""
-        S, A = self.n_streams, len(self.attributes)
-        mins = self._overall.mins().reshape(S, A)
-        maxs = self._overall.maxs().reshape(S, A)
-        overall = self._overall.medians().reshape(S, A)
-        med_min = np.fmin.reduce(self._medring, axis=2)
-        med_max = np.fmax.reduce(self._medring, axis=2)
+        n = self.sizes
+        ordered = np.sort(self._vals[:, :, : self.capacity], axis=2)
+        mins = ordered[:, :, 0].copy()
+        maxs = ordered[self._rows, :, np.maximum(n - 1, 0)]
+        overall = _median_of_sorted(ordered, n)
+        med_min = np.fmin.reduce(self._medring, axis=0)
+        med_max = np.fmax.reduce(self._medring, axis=0)
         with np.errstate(invalid="ignore"):  # empty lanes: inf - inf
             span = maxs - mins
         # Power is zero while the buffer holds at most one full window,
         # when no window median exists yet, or for a constant lane —
         # the _AttributeTracker.potential_power degenerate cases.
         live = (
-            (self.sizes[:, None] > self.window)
+            (n[:, None] > self.window)
             & ~np.isnan(med_min)
             & (span > 0)
         )
@@ -189,9 +205,7 @@ class FleetArena:
         powers = np.where(
             live, deviation / np.where(span > 0, span, 1.0), 0.0
         )
-        return ArenaStats(
-            sizes=self.sizes, mins=mins, maxs=maxs, powers=powers
-        )
+        return ArenaStats(sizes=n, mins=mins, maxs=maxs, powers=powers)
 
     # ------------------------------------------------------------------
     def view(self, stream: int) -> "ArenaWindow":
@@ -266,13 +280,8 @@ class ArenaWindow:
     def bounds(self, attr: str) -> Tuple[float, float]:
         if self.n_rows == 0:
             return 0.0, 0.0
-        ai = self._arena._attr_index[attr]
-        lane = self._stream * len(self._arena.attributes) + ai
-        bank = self._arena._overall
-        return (
-            float(bank._sorted[lane, 0]),
-            float(bank._sorted[lane, bank.counts[lane] - 1]),
-        )
+        col = self.column(attr)
+        return float(col.min()), float(col.max())
 
     def to_dataset(self, name: str = "") -> Dataset:
         return Dataset(

@@ -62,7 +62,7 @@ from repro.stream.detector import (
     cluster_windows_batch,
 )
 
-__all__ = ["FleetDetector", "FleetTick"]
+__all__ = ["TICK_STAGES", "FleetDetector", "FleetTick"]
 
 _FLEET_TICK_SECONDS = metrics.REGISTRY.histogram(
     "repro_fleet_tick_seconds",
@@ -107,6 +107,23 @@ _FLEET_FALLOUT_MS = metrics.REGISTRY.histogram(
     "Wall time of the fallout stage (re-cluster + region close) per tick",
     buckets=metrics.MS_BUCKETS,
 )
+_FLEET_STAGE_SECONDS = metrics.REGISTRY.histogram(
+    "repro_fleet_stage_seconds",
+    "Wall time of each numbered stage of one fleet tick",
+    buckets=metrics.FINE_BUCKETS,
+    labelnames=("stage",),
+)
+#: The numbered stages of :meth:`FleetDetector.tick`, in order.
+TICK_STAGES = (
+    "gate",
+    "drop",
+    "sanitize",
+    "append",
+    "quarantine",
+    "stats",
+    "fallout",
+)
+_STAGE_CHILDREN = tuple(_FLEET_STAGE_SECONDS.labels(s) for s in TICK_STAGES)
 _FLEET_POISONED = metrics.REGISTRY.counter(
     "repro_fleet_poisoned_lanes_total",
     "Lanes quarantined by a fallout bulkhead (exception contained)",
@@ -352,7 +369,9 @@ class FleetDetector:
         *times* is ``(streams,)``, *values* ``(streams, attrs)`` (NaN
         cells allowed — they are sanitized exactly as the single-stream
         detector does), *active* an optional mask of streams that have a
-        row this round (default: all).
+        row this round (default: all).  Each numbered stage's wall time
+        is observed into ``repro_fleet_stage_seconds{stage}`` (see
+        :data:`TICK_STAGES`).
         """
         t0 = _time.perf_counter()
         S, A = self.n_streams, len(self.arena.attributes)
@@ -375,6 +394,7 @@ class FleetDetector:
                 self.poison_skipped += skipped
                 _FLEET_POISON_SKIPPED.inc(n_skipped)
             present = present & ~self.poisoned
+        marks = [t0, _time.perf_counter()]
 
         # Stage 1 — drop non-monotone rows (before sanitize, exactly as
         # StreamingDetector.observe does).
@@ -382,6 +402,7 @@ class FleetDetector:
         dropped = present & ~accepted
         n_dropped = int(dropped.sum())
         self.dropped_counts += dropped
+        marks.append(_time.perf_counter())
 
         # Stage 2 — sanitize: NaN cells take the attribute's last valid
         # value (0.0 before any), valid cells refresh it.
@@ -394,12 +415,15 @@ class FleetDetector:
         self._seen |= valid
         self.last_time = np.where(accepted, times, self.last_time)
         self._has_time |= accepted
+        marks.append(_time.perf_counter())
 
-        # Stage 3 — append to the arena (banks, medring) fleet-wide.
+        # Stage 3 — append to the arena (ring, window medians) fleet-wide.
         self.arena.append(times, clean, accepted)
+        marks.append(_time.perf_counter())
 
         # Stage 4 — stuck-at quarantine on the sanitized values.
         n_quarantined = self._update_quarantine(clean, accepted)
+        marks.append(_time.perf_counter())
 
         # Stage 5 — Equation 4 + bounds as single whole-fleet calls.
         stats = self.arena.stats()
@@ -408,6 +432,7 @@ class FleetDetector:
             & self._tracked_mask[None, :]
             & ~self.quarantined
         )
+        marks.append(_time.perf_counter())
 
         # Stage 6 — per-stream fallout, only where something was selected.
         self.tick_counts += present
@@ -496,7 +521,10 @@ class FleetDetector:
                 t0,
                 lane_errors,
             )
-        fallout_ms = (_time.perf_counter() - fallout_t0) * 1000.0
+        marks.append(_time.perf_counter())
+        fallout_ms = (marks[-1] - fallout_t0) * 1000.0
+        for child, begin, end in zip(_STAGE_CHILDREN, marks, marks[1:]):
+            child.observe(end - begin)
 
         elapsed = _time.perf_counter() - t0
         n_present = int(present.sum())
