@@ -12,9 +12,10 @@ claims:
   phase lands; fallout streams after their DBSCAN re-cluster);
 * **bitwise equivalence** — a subsample of streams (anomalous and
   quiet) runs mirrored single-stream
-  :class:`~repro.stream.detector.StreamingDetector` instances on the
-  identical rows; every tick's verdict and the final checkpoints must
-  be *equal*, not approximately equal, before any number is reported.
+  :class:`~repro.stream.detector.StreamingDetector` instances (one-lane
+  fleets) on the identical rows; every tick's verdict and the final
+  checkpoints must be *equal*, not approximately equal, before any
+  number is reported.
 
 Two storm legs ride along (the anomaly-storm tentpole):
 
@@ -171,13 +172,15 @@ def _assert_fleet_ticks_match(a, b) -> None:
     assert a.closed == b.closed, "closed regions diverge"
 
 
-def _stage_totals() -> dict:
-    """``stage -> (observations, seconds)`` of the tick stage family."""
+def _stage_totals() -> np.ndarray:
+    """``(stages, 2)`` observations and seconds of the tick stage family."""
     family = metrics.REGISTRY.get("repro_fleet_stage_seconds")
-    return {
-        stage: (family.labels(stage).count, family.labels(stage).sum)
-        for stage in TICK_STAGES
-    }
+    return np.array(
+        [
+            (family.labels(stage).count, family.labels(stage).sum)
+            for stage in TICK_STAGES
+        ]
+    )
 
 
 def run_bench(
@@ -215,16 +218,20 @@ def run_bench(
         for s in mirror_streams
     }
 
-    stages_before = _stage_totals()
+    # Stage deltas are taken around each measured fleet.tick only: the
+    # mirrors are one-lane fleets and observe into the same family.
+    stage_delta = np.zeros((len(TICK_STAGES), 2))
     tick_seconds = []
     verdict_lat = []
     streams_served = 0
     fallout_streams = 0
     closed_total = 0
     for times, values, active in src.take(params["rounds"]):
+        stages_before = _stage_totals()
         start = time.perf_counter()
         tick = fleet.tick(times, values, active)
         tick_seconds.append(time.perf_counter() - start)
+        stage_delta += _stage_totals() - stages_before
         streams_served += int(active.sum())
         fallout_streams += len(tick.results)
         closed_total += sum(len(r) for r in tick.closed.values())
@@ -241,10 +248,10 @@ def run_bench(
             f"stream {s}: checkpoint diverges"
         )
 
-    stage_ms = {}
-    for stage, (n, total) in _stage_totals().items():
-        n0, total0 = stages_before[stage]
-        stage_ms[stage] = round((total - total0) / (n - n0) * 1e3, 3)
+    stage_ms = {
+        stage: round(total / n * 1e3, 3)
+        for stage, (n, total) in zip(TICK_STAGES, stage_delta)
+    }
     ticks = np.asarray(tick_seconds)
     lats = np.concatenate(verdict_lat)
     amortized_us = ticks.sum() / streams_served * 1e6

@@ -9,9 +9,10 @@ so they are drop-in replacements for the DBSCAN strategy inside
 :class:`repro.core.anomaly.AnomalyDetector`-based workflows.
 
 For *online* detection over a live telemetry feed, use
-:class:`repro.stream.StreamingDetector` (re-exported here): it produces
-the same ``DetectionResult`` per tick from a ring-buffer window with
-incremental potential power instead of re-running a batch pass.
+:class:`repro.stream.StreamingDetector` (re-exported here): a one-lane
+fleet detector that produces the same ``DetectionResult`` per tick from
+its live window with incremental potential power instead of re-running
+a batch pass.
 """
 
 from repro.detect.strategies import (

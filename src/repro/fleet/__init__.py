@@ -5,14 +5,17 @@ The fleet subsystem scales the single-stream detection pipeline
 window in one columnar arena and running the per-tick numeric stages as
 dense numpy calls across the whole fleet — peeling off per-stream work
 (re-cluster, diagnose, WAL/checkpoint) only for streams whose verdict
-actually changed.  The engine is asserted bitwise-equal to N independent
-:class:`~repro.stream.detector.StreamingDetector` instances.
+actually changed.  Each lane's verdict is asserted equal to the batch
+detector re-run on that lane's window, and a single stream
+(:class:`~repro.stream.detector.StreamingDetector`) is a one-lane fleet.
 
 Layers, bottom up:
 
 * :mod:`repro.fleet.arena` — the columnar ring, with Equation 4 order
   statistics read by sorting it;
 * :mod:`repro.fleet.engine` — the vectorized detector pipeline;
+* :mod:`repro.fleet.fallout` — re-clustering and region closing for
+  the streams whose selection is non-empty;
 * :mod:`repro.fleet.scheduler` — multi-tenant diagnosis scheduling,
   backpressure/shed policies, deadline tiers with degraded fallbacks,
   retry with backoff, per-tenant durability and metrics;

@@ -1,36 +1,33 @@
 """Cross-stream columnar tick arena.
 
 All N tenants' current telemetry windows live in one contiguous
-``(streams, attributes, 2 × capacity)`` float64 ring — the same
-double-write layout as the single-stream
-:class:`~repro.stream.window.RingBufferWindow`, so any stream's window
-is always a zero-copy contiguous slice regardless of where its ring has
-wrapped.  Every lane's order statistics (overall median, trailing-``w``
-median, buffer min/max, window-median extrema — everything Equation 4
-needs) come from sorting that ring, a fixed number of dense numpy calls
-over the whole fleet:
+``(streams, attributes, 2 × capacity)`` float64 ring with a double-write
+layout — every sample lands at its slot *and* at ``slot + capacity`` —
+so any stream's window is always a zero-copy contiguous slice
+regardless of where its ring has wrapped.  Every lane's order
+statistics (overall median, trailing-``w`` median, buffer min/max,
+window-median extrema — everything Equation 4 needs) come from sorting
+that ring, a fixed number of dense numpy calls over the whole fleet:
 
 * :meth:`FleetArena.append` gathers each lane's last ``w`` samples (one
   contiguous run ending at the write slot's upper copy), sorts them,
   and scatters the completed window medians into a NaN-padded
   ``(capacity − w + 1, streams, attributes)`` FIFO ring, whose
-  ``fmin/fmax`` reduction reproduces the single-stream
-  :class:`~repro.stream.median.SlidingExtrema` over window medians
-  (min/max are order-independent, so ring rotation is immaterial);
+  ``fmin/fmax`` reduction gives the extrema of the window medians still
+  inside the buffer (min/max are order-independent, so ring rotation is
+  immaterial);
 * :meth:`FleetArena.stats` sorts the lower copy of the ring — a
   stream's retained rows in ring order plus never-written ``+inf``
   slots, and order inside the ring does not matter to a sort — and
   reads median, min and max off the sorted rows.
 
 Medians use ``(S[(n-1)//2] + S[n//2]) / 2`` over the sorted lane — the
-exact ``np.median`` reduction, and therefore the exact
-:meth:`~repro.stream.median.SlidingMedian.median`.
+exact ``np.median`` reduction.
 
-:class:`ArenaWindow` adapts one stream's slice of the arena to the
-read interface of :class:`~repro.stream.window.RingBufferWindow`
-(``timestamps`` / ``column`` / ``bounds`` / ``to_dataset``), which is
-what lets :func:`repro.stream.detector.cluster_window` run the
-identical clustering code over either storage.
+:class:`ArenaWindow` presents one stream's slice of the arena as a
+telemetry window (``timestamps`` / ``column`` / ``bounds`` /
+``to_dataset``), which is what the fallout clustering
+(:func:`repro.fleet.fallout.cluster_window`) and diagnosis read.
 """
 
 from __future__ import annotations
@@ -89,8 +86,9 @@ class FleetArena:
     capacity:
         Ring length per stream — the detection window, in rows.
     window:
-        Equation 4 sliding-window width ``w``; must not exceed
-        *capacity* (the trailing window is read from the ring).
+        Equation 4 sliding-window width ``w``.  A window wider than
+        *capacity* never completes inside the buffer, so every power
+        stays 0.
     """
 
     def __init__(
@@ -106,8 +104,6 @@ class FleetArena:
             raise ValueError("capacity must be at least 2")
         if window < 1:
             raise ValueError("window must be at least 1")
-        if window > capacity:
-            raise ValueError("window must not exceed capacity")
         self.attributes = list(attributes)
         if not self.attributes:
             raise ValueError("arena needs at least one attribute")
@@ -131,7 +127,9 @@ class FleetArena:
         #: a full trailing window).
         self.sizes = np.zeros(S, dtype=np.int64)
         self._rows = np.arange(S)
-        self._ring_len = cap - self.window + 1
+        # one slot per window median the buffer can hold (none when
+        # w > capacity; the ring then stays all-NaN)
+        self._ring_len = max(cap - self.window + 1, 1)
         # Ring-major so the per-tick extrema reduce over the leading
         # axis: elementwise fmin/fmax of contiguous (streams, attrs)
         # planes instead of thousands of short strided reductions.
@@ -163,10 +161,10 @@ class FleetArena:
 
         # Streams whose trailing window is complete publish its median
         # into the FIFO ring, keyed (mod ring length) by the row's
-        # sequence number — precisely the window medians the
-        # single-stream tracker's extrema deques hold live.  The last w
-        # samples are one contiguous run ending at the write slot's
-        # upper copy, read through a sliding-window view of the ring.
+        # sequence number, so the ring holds exactly the medians of the
+        # windows that start inside the buffer.  The last w samples are
+        # one contiguous run ending at the write slot's upper copy, read
+        # through a sliding-window view of the ring.
         ready = np.nonzero(active & (sizes >= w))[0]
         if ready.size:
             runs = sliding_window_view(self._vals, w, axis=2)
@@ -193,7 +191,7 @@ class FleetArena:
             span = maxs - mins
         # Power is zero while the buffer holds at most one full window,
         # when no window median exists yet, or for a constant lane —
-        # the _AttributeTracker.potential_power degenerate cases.
+        # the degenerate cases of the batch potential_power.
         live = (
             (n[:, None] > self.window)
             & ~np.isnan(med_min)
@@ -209,18 +207,17 @@ class FleetArena:
 
     # ------------------------------------------------------------------
     def view(self, stream: int) -> "ArenaWindow":
-        """A RingBufferWindow-compatible read view of one stream."""
+        """A zero-copy read view of one stream's window."""
         return ArenaWindow(self, int(stream))
 
 
 class ArenaWindow:
     """Read adapter: one stream's arena slice as a telemetry window.
 
-    Implements the read surface of
-    :class:`~repro.stream.window.RingBufferWindow` (``n_rows``,
-    ``timestamps``, ``column``, ``bounds``, ``to_dataset``, attribute
-    lists) over zero-copy arena views, so the shared clustering and
-    diagnosis code paths cannot tell the storages apart.
+    ``n_rows``, ``timestamps``, ``column``, ``bounds``, ``to_dataset``
+    and the attribute lists, over zero-copy arena views.  The arena
+    stores numeric columns only; a subclass that also keeps categorical
+    columns overrides ``categorical_attributes`` and ``column``.
     """
 
     __slots__ = ("_arena", "_stream")
@@ -241,6 +238,10 @@ class ArenaWindow:
 
     def __len__(self) -> int:
         return self.n_rows
+
+    @property
+    def full(self) -> bool:
+        return self.n_rows == self._arena.capacity
 
     @property
     def appended(self) -> int:
@@ -284,11 +285,14 @@ class ArenaWindow:
         return float(col.min()), float(col.max())
 
     def to_dataset(self, name: str = "") -> Dataset:
+        """The window as a :class:`Dataset` copy, detached from the ring."""
         return Dataset(
             self.timestamps.copy(),
             numeric={
                 a: self.column(a).copy() for a in self._arena.attributes
             },
-            categorical={},
+            categorical={
+                a: self.column(a).copy() for a in self.categorical_attributes
+            },
             name=name,
         )

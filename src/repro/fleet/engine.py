@@ -1,30 +1,32 @@
 """Fleet tick engine: N streaming detectors as one vectorized pipeline.
 
-:class:`FleetDetector` is the cross-stream twin of
-:class:`~repro.stream.detector.StreamingDetector` in ``mode="exact"``.
-Every per-tick stage that the single-stream detector runs in Python —
-non-monotone drop, NaN sanitize, stuck-at quarantine, the incremental
-Equation 4 potential power, bounds, attribute selection — runs here as a
-handful of dense numpy calls over the whole fleet
-(:class:`~repro.fleet.arena.FleetArena`).  Only the *fallout* — DBSCAN
-re-clustering, region closing — is peeled off, and only for streams
-whose selected-attribute set is non-empty this tick.  With
-``batch_fallout=True`` (the default) the whole fallout set runs through
-the batched storm kernels
-(:func:`~repro.stream.detector.cluster_windows_batch`,
-:func:`~repro.stream.detector.close_regions_batch`) — bitwise-equal to,
+:class:`FleetDetector` runs the Section 7 online detector for a whole
+fleet of tenant streams.  Every per-tick stage — non-monotone drop, NaN
+sanitize, stuck-at quarantine, the incremental Equation 4 potential
+power, bounds, attribute selection — runs as a handful of dense numpy
+calls over the whole fleet (:class:`~repro.fleet.arena.FleetArena`).
+Only the *fallout* — DBSCAN re-clustering, region closing — is peeled
+off, and only for streams whose selected-attribute set is non-empty
+this tick.  With ``batch_fallout=True`` (the default) the whole fallout
+set runs through the batched storm kernels
+(:func:`~repro.fleet.fallout.cluster_windows_batch`,
+:func:`~repro.fleet.fallout.close_regions_batch`) — bitwise-equal to,
 and asserted against, the serial per-stream path
-(:func:`~repro.stream.detector.cluster_window`,
-:func:`~repro.stream.detector.close_regions`,
+(:func:`~repro.fleet.fallout.cluster_window`,
+:func:`~repro.fleet.fallout.close_regions`,
 ``AnomalyDetector._cluster_and_mask``), which ``batch_fallout=False``
 still runs verbatim.
 
-The result is asserted bitwise-equal to running N independent
-``StreamingDetector`` instances on the same rows — verdicts, masks,
-regions, ε, quarantine sets, counters, and even
-:meth:`FleetDetector.stream_checkpoint`, which emits the exact
-``StreamingDetector.checkpoint()`` schema so per-tenant recovery rides
-the existing :class:`~repro.stream.wal.CheckpointStore` /
+Each lane's verdict equals ``AnomalyDetector.detect`` re-run from
+scratch on that lane's window — the equivalence suite asserts it on
+every tick.  A single stream is a one-lane fleet:
+:class:`~repro.stream.detector.StreamingDetector` is a facade over
+``FleetDetector(1, ...)``, which is why :meth:`FleetDetector.tick` is
+split into its ingest stages (:meth:`FleetDetector._ingest`) and its
+detect stages (:meth:`FleetDetector._detect`).
+:meth:`FleetDetector.stream_checkpoint` emits the single-stream
+checkpoint schema, so per-tenant recovery rides the
+:class:`~repro.stream.wal.CheckpointStore` /
 :class:`~repro.stream.wal.TickWAL` machinery unchanged.
 
 **Lane bulkheads.**  The fallout stage is the only per-stream Python in
@@ -55,7 +57,7 @@ from repro.data.regions import Region
 from repro.fleet.arena import ArenaWindow, FleetArena
 from repro.obs import metrics
 from repro.obs import trace
-from repro.stream.detector import (
+from repro.fleet.fallout import (
     close_regions,
     close_regions_batch,
     cluster_window,
@@ -190,13 +192,14 @@ class FleetTick:
 class FleetDetector:
     """N tenants' streaming detection as one columnar engine.
 
-    Parameters mirror :class:`~repro.stream.detector.StreamingDetector`
-    (always ``mode="exact"``); *attributes* fixes the shared column
-    schema up front, and *tracked* optionally restricts which attributes
-    participate in selection (the filter the single-stream detector
-    calls ``attributes``).  ``recluster_fraction`` / ``bounds_drift``
-    only exist so :meth:`stream_checkpoint` can round-trip a detector
-    configuration bit-for-bit.
+    Detection parameters mirror
+    :class:`~repro.core.anomaly.AnomalyDetector`; *attributes* fixes the
+    shared column schema up front, and *tracked* optionally restricts
+    which attributes participate in selection (the filter the
+    single-stream detector calls ``attributes``).
+    ``recluster_fraction`` / ``bounds_drift`` have no effect; they only
+    exist so version-1 checkpoints, which carry them, round-trip
+    bit-for-bit.
     """
 
     CHECKPOINT_VERSION = 1
@@ -367,21 +370,57 @@ class FleetDetector:
         """One fleet-wide tick: ingest, select, and peel off fallout.
 
         *times* is ``(streams,)``, *values* ``(streams, attrs)`` (NaN
-        cells allowed — they are sanitized exactly as the single-stream
-        detector does), *active* an optional mask of streams that have a
+        cells allowed — they are sanitized with the attribute's last
+        valid value), *active* an optional mask of streams that have a
         row this round (default: all).  Each numbered stage's wall time
         is observed into ``repro_fleet_stage_seconds{stage}`` (see
         :data:`TICK_STAGES`).
         """
         t0 = _time.perf_counter()
-        S, A = self.n_streams, len(self.arena.attributes)
         times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
         present = (
-            np.ones(S, dtype=bool)
+            np.ones(self.n_streams, dtype=bool)
             if active is None
             else np.asarray(active, dtype=bool)
         )
+        present, accepted, dropped = self._ingest(
+            times, values, present, t0
+        )
+        out = self._detect(t0, times, present, accepted, dropped)
+
+        elapsed = _time.perf_counter() - t0
+        n_present = int(present.sum())
+        if trace.enabled():
+            ctx = trace.current_context()
+            _FLEET_TICK_SECONDS.observe(
+                elapsed, exemplar=ctx[0] if ctx else None
+            )
+            trace.stage(
+                "fleet.tick",
+                elapsed,
+                streams=n_present,
+                closed=sum(len(c) for c in out.closed.values()),
+            )
+        else:
+            _FLEET_TICK_SECONDS.observe(elapsed)
+        if n_present:
+            _FLEET_STREAM_SECONDS.observe(elapsed / n_present)
+            _FLEET_STREAM_TICKS.inc(n_present)
+        return out
+
+    def _ingest(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        present: np.ndarray,
+        t0: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stages 0–4: gate, drop, sanitize, append, quarantine.
+
+        Returns ``(present, accepted, dropped)`` stream masks, where
+        *present* no longer includes poisoned lanes.
+        """
+        values = np.asarray(values, dtype=np.float64)
 
         # Stage 0 — bulkhead gate: poisoned lanes skip the tick entirely
         # (their frozen checkpoint stays the source of truth; offered
@@ -396,11 +435,10 @@ class FleetDetector:
             present = present & ~self.poisoned
         marks = [t0, _time.perf_counter()]
 
-        # Stage 1 — drop non-monotone rows (before sanitize, exactly as
-        # StreamingDetector.observe does).
+        # Stage 1 — drop rows whose timestamp does not advance (before
+        # sanitize, so a dropped row repairs nothing).
         accepted = present & (times > self.last_time)
         dropped = present & ~accepted
-        n_dropped = int(dropped.sum())
         self.dropped_counts += dropped
         marks.append(_time.perf_counter())
 
@@ -424,6 +462,35 @@ class FleetDetector:
         # Stage 4 — stuck-at quarantine on the sanitized values.
         n_quarantined = self._update_quarantine(clean, accepted)
         marks.append(_time.perf_counter())
+        for child, begin, end in zip(_STAGE_CHILDREN[:5], marks, marks[1:]):
+            child.observe(end - begin)
+
+        n_dropped = int(dropped.sum())
+        if n_dropped:
+            _FLEET_DROPPED.inc(n_dropped)
+        total_sanitized = int(n_sanitized.sum())
+        if total_sanitized:
+            _FLEET_SANITIZED.inc(total_sanitized)
+        if n_quarantined:
+            _FLEET_QUARANTINES.inc(n_quarantined)
+        return present, accepted, dropped
+
+    def _detect(
+        self,
+        t0: float,
+        times: np.ndarray,
+        present: np.ndarray,
+        accepted: np.ndarray,
+        dropped: np.ndarray,
+    ) -> FleetTick:
+        """Stages 5–6: Equation 4 selection, then per-stream fallout.
+
+        Every *present* stream counts one detection; *t0* anchors the
+        verdict latencies, and *times* / *accepted* / *dropped* are the
+        ingest outcome reported on the returned :class:`FleetTick`.
+        """
+        S = self.n_streams
+        marks = [_time.perf_counter()]
 
         # Stage 5 — Equation 4 + bounds as single whole-fleet calls.
         stats = self.arena.stats()
@@ -522,42 +589,16 @@ class FleetDetector:
                 lane_errors,
             )
         marks.append(_time.perf_counter())
-        fallout_ms = (marks[-1] - fallout_t0) * 1000.0
-        for child, begin, end in zip(_STAGE_CHILDREN, marks, marks[1:]):
+        for child, begin, end in zip(_STAGE_CHILDREN[5:], marks, marks[1:]):
             child.observe(end - begin)
 
-        elapsed = _time.perf_counter() - t0
-        n_present = int(present.sum())
-        if trace.enabled():
-            ctx = trace.current_context()
-            _FLEET_TICK_SECONDS.observe(
-                elapsed, exemplar=ctx[0] if ctx else None
-            )
-            trace.stage(
-                "fleet.tick",
-                elapsed,
-                streams=n_present,
-                closed=n_closed,
-            )
-        else:
-            _FLEET_TICK_SECONDS.observe(elapsed)
-        if n_present:
-            _FLEET_STREAM_SECONDS.observe(elapsed / n_present)
-            _FLEET_STREAM_TICKS.inc(n_present)
-        if n_dropped:
-            _FLEET_DROPPED.inc(n_dropped)
-        total_sanitized = int(n_sanitized.sum())
-        if total_sanitized:
-            _FLEET_SANITIZED.inc(total_sanitized)
-        if n_quarantined:
-            _FLEET_QUARANTINES.inc(n_quarantined)
-        if n_present:
+        if present.any():
             _FLEET_FALLOUT_STREAMS.observe(int(fallout.size))
         n_reclustered = int(reclustered.sum())
         if n_reclustered:
             _FLEET_RECLUSTERS.inc(n_reclustered)
         if fallout.size:
-            _FLEET_FALLOUT_MS.observe(fallout_ms)
+            _FLEET_FALLOUT_MS.observe((marks[-1] - fallout_t0) * 1000.0)
         if n_closed:
             _FLEET_CLOSED.inc(n_closed)
         return FleetTick(
@@ -631,7 +672,15 @@ class FleetDetector:
     def _update_quarantine(
         self, clean: np.ndarray, accepted: np.ndarray
     ) -> int:
-        """Vectorized twin of ``StreamingDetector._update_quarantine``."""
+        """Stuck-at quarantine over the accepted rows' sanitized values.
+
+        The exact rule quarantines a tracked attribute once its value
+        has been identical for ``quarantine_after`` consecutive rows and
+        releases it when the value moves; the variance rule quarantines
+        while the last ``quarantine_after`` values' standard deviation is
+        at most ``quarantine_rel_epsilon`` times their mean magnitude.
+        Returns the number of newly quarantined lanes.
+        """
         if self.quarantine_after is None:
             return 0
         before = self.quarantined
@@ -665,7 +714,7 @@ class FleetDetector:
         return int((self.quarantined & ~before).sum())
 
     # ------------------------------------------------------------------
-    # Checkpoint interop with StreamingDetector
+    # Version-1 checkpoints (the single-stream schema)
     # ------------------------------------------------------------------
     def _params(self) -> Dict[str, object]:
         return {
@@ -690,11 +739,13 @@ class FleetDetector:
         }
 
     def stream_checkpoint(self, stream: int) -> Dict[str, object]:
-        """One stream's state in the exact ``StreamingDetector.checkpoint``
-        schema, so per-tenant recovery (``CheckpointStore`` + ``TickWAL``
-        + ``StreamingDetector.from_checkpoint``) works unchanged —
-        and so the equivalence suite can compare checkpoints
-        byte-for-byte against mirrored single-stream detectors.
+        """One stream's state in the version-1 checkpoint schema.
+
+        The same dict ``StreamingDetector.checkpoint`` writes (the
+        single-stream detector adds only its categorical columns), so
+        per-tenant recovery (``CheckpointStore`` + ``TickWAL`` +
+        :meth:`from_checkpoints`) and single-stream restore read it
+        alike.
 
         A poisoned lane returns its frozen last-good checkpoint — the
         state captured the moment the bulkhead fired — so durable

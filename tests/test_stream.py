@@ -16,160 +16,10 @@ from repro.core.separation import normalize_values
 from repro.data.dataset import Dataset
 from repro.eval.harness import replay_rows, simulate_run
 from repro.stream import (
-    RingBufferWindow,
-    SlidingExtrema,
-    SlidingMedian,
     StreamingDetector,
     StreamingDiagnoser,
 )
 from repro.stream.golden import GoldenAnomalyDetector
-
-
-# ---------------------------------------------------------------------------
-# order-statistic structures
-# ---------------------------------------------------------------------------
-class TestSlidingMedian:
-    def test_matches_numpy_on_fifo_windows(self):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            # duplicate-heavy integer streams stress the lazy deletion
-            stream = rng.integers(0, 6, size=120).astype(float)
-            window = int(rng.integers(1, 15))
-            sm = SlidingMedian()
-            for i, value in enumerate(stream):
-                sm.add(value)
-                if i >= window:
-                    sm.remove(stream[i - window])
-                lo = max(0, i - window + 1)
-                expected = float(np.median(stream[lo : i + 1]))
-                assert sm.median() == expected
-
-    def test_arbitrary_add_remove(self):
-        rng = np.random.default_rng(7)
-        live = []
-        sm = SlidingMedian()
-        for _ in range(500):
-            if live and rng.random() < 0.45:
-                value = live.pop(int(rng.integers(len(live))))
-                sm.remove(value)
-            else:
-                value = float(rng.integers(0, 8))
-                live.append(value)
-                sm.add(value)
-            if live:
-                assert sm.median() == float(np.median(live))
-                assert len(sm) == len(live)
-
-    def test_empty_median_raises(self):
-        with pytest.raises(ValueError):
-            SlidingMedian().median()
-
-    def test_empty_remove_raises(self):
-        with pytest.raises(ValueError):
-            SlidingMedian().remove(1.0)
-
-    def test_even_count_is_midpoint(self):
-        sm = SlidingMedian()
-        for v in (1.0, 2.0, 3.0, 10.0):
-            sm.add(v)
-        assert sm.median() == 2.5
-
-
-class TestSlidingExtrema:
-    def test_tracks_min_max_with_expiry(self):
-        ex = SlidingExtrema()
-        values = [5.0, 3.0, 8.0, 1.0, 7.0]
-        for seq, value in enumerate(values):
-            ex.push(seq, value)
-        assert (ex.min(), ex.max()) == (1.0, 8.0)
-        ex.expire(4)  # only seq 4 (value 7.0) survives
-        assert (ex.min(), ex.max()) == (7.0, 7.0)
-
-    def test_matches_bruteforce_windows(self):
-        rng = np.random.default_rng(3)
-        stream = rng.normal(size=200)
-        window = 17
-        ex = SlidingExtrema()
-        for seq, value in enumerate(stream):
-            ex.push(seq, value)
-            ex.expire(seq - window + 1)
-            lo = max(0, seq - window + 1)
-            assert ex.min() == stream[lo : seq + 1].min()
-            assert ex.max() == stream[lo : seq + 1].max()
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            SlidingExtrema().min()
-        with pytest.raises(ValueError):
-            SlidingExtrema().max()
-
-
-# ---------------------------------------------------------------------------
-# ring buffer
-# ---------------------------------------------------------------------------
-class TestRingBufferWindow:
-    def test_grows_until_capacity_then_evicts(self):
-        window = RingBufferWindow(3, numeric=["a"])
-        assert window.append(0.0, {"a": 10.0}) is None
-        assert window.append(1.0, {"a": 11.0}) is None
-        assert window.append(2.0, {"a": 12.0}) is None
-        assert window.full
-        evicted = window.append(3.0, {"a": 13.0})
-        assert evicted is not None
-        assert evicted.time == 0.0
-        assert evicted.numeric == {"a": 10.0}
-        assert window.n_rows == 3
-
-    def test_views_after_wraparound(self):
-        window = RingBufferWindow(4, numeric=["a"], categorical=["c"])
-        for i in range(11):
-            window.append(float(i), {"a": float(i) * 2.0}, {"c": f"v{i}"})
-        assert list(window.timestamps) == [7.0, 8.0, 9.0, 10.0]
-        assert list(window.column("a")) == [14.0, 16.0, 18.0, 20.0]
-        assert list(window.column("c")) == ["v7", "v8", "v9", "v10"]
-        assert window.oldest_seq == 7
-        assert window.appended == 11
-
-    def test_views_are_zero_copy(self):
-        window = RingBufferWindow(4, numeric=["a"])
-        for i in range(6):
-            window.append(float(i), {"a": float(i)})
-        assert window.column("a").base is window._numeric["a"]
-        assert window.timestamps.base is window._ts
-
-    def test_bounds_track_retained_rows(self):
-        rng = np.random.default_rng(11)
-        stream = rng.normal(size=60)
-        window = RingBufferWindow(13, numeric=["a"])
-        for i, value in enumerate(stream):
-            window.append(float(i), {"a": float(value)})
-            col = window.column("a")
-            assert window.bounds("a") == (col.min(), col.max())
-
-    def test_to_dataset_roundtrip(self):
-        window = RingBufferWindow(5, numeric=["a", "b"], categorical=["c"])
-        for i in range(8):
-            window.append(
-                float(i), {"a": float(i), "b": -float(i)}, {"c": "x"}
-            )
-        ds = window.to_dataset(name="snap")
-        assert ds.name == "snap"
-        assert ds.n_rows == 5
-        assert list(ds.timestamps) == [3.0, 4.0, 5.0, 6.0, 7.0]
-        assert list(ds.column("b")) == [-3.0, -4.0, -5.0, -6.0, -7.0]
-        # the snapshot must be a copy, detached from the live buffer
-        window.append(8.0, {"a": 0.0, "b": 0.0}, {"c": "x"})
-        assert list(ds.timestamps) == [3.0, 4.0, 5.0, 6.0, 7.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RingBufferWindow(0, numeric=["a"])
-        with pytest.raises(ValueError):
-            RingBufferWindow(5, numeric=[])
-        window = RingBufferWindow(2, numeric=["a"])
-        window.append(0.0, {"a": 1.0})
-        with pytest.raises(KeyError):
-            window.column("missing")
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +35,7 @@ class TestIncrementalPotentialPower:
         for i, value in enumerate(stream):
             detector.observe(float(i), {"a": float(value)})
             window = detector.window
-            lo, hi = window.bounds("a")
-            power = detector._trackers["a"].potential_power(
-                lo, hi, window.n_rows
-            )
+            power = detector.fleet.arena.stats().powers[0, 0]
             expected = potential_power(
                 normalize_values(window.column("a")), window=w
             )
@@ -198,17 +45,13 @@ class TestIncrementalPotentialPower:
         detector = StreamingDetector(capacity=30, window=10)
         for i in range(10):
             detector.observe(float(i), {"a": float(i % 3)})
-            lo, hi = detector.window.bounds("a")
-            assert (
-                detector._trackers["a"].potential_power(lo, hi, i + 1) == 0.0
-            )
+            assert detector.fleet.arena.stats().powers[0, 0] == 0.0
 
     def test_zero_for_constant_attribute(self):
         detector = StreamingDetector(capacity=30, window=5)
         for i in range(30):
             detector.observe(float(i), {"a": 2.5})
-        lo, hi = detector.window.bounds("a")
-        assert detector._trackers["a"].potential_power(lo, hi, 30) == 0.0
+        assert detector.fleet.arena.stats().powers[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +145,6 @@ class TestClosedRegions:
                 float(i), {"a": float(rng.normal()), "b": float(rng.normal())}
             )
             assert update.closed_regions == []
-
-
-class TestIncrementalMode:
-    def test_bounded_divergence_and_fewer_reclusters(self):
-        columns = step_stream(seed=17)
-        exact = StreamingDetector(capacity=120, mode="exact")
-        incremental = StreamingDetector(capacity=120, mode="incremental")
-        agree = total = 0
-        for i in range(200):
-            row = {a: float(v[i]) for a, v in columns.items()}
-            r_exact = exact.tick(float(i), row).result
-            r_inc = incremental.tick(float(i), row).result
-            agree += int(np.sum(r_exact.mask == r_inc.mask))
-            total += r_exact.mask.shape[0]
-        assert agree / total >= 0.95
-        # it must actually skip work: strictly fewer re-clusters than the
-        # exact mode, but still re-cluster periodically on turnover
-        assert incremental.recluster_count < exact.recluster_count
-        assert incremental.recluster_count >= 2
-
-    def test_selected_change_forces_recluster(self):
-        detector = StreamingDetector(
-            capacity=40, mode="incremental", recluster_fraction=1.0
-        )
-        rng = np.random.default_rng(23)
-        values = rng.normal(0.0, 0.1, 120)
-        values[60:] += 5.0  # selection flips on when the step enters
-        reclusters = 0
-        for i, value in enumerate(values):
-            update = detector.tick(float(i), {"a": float(value)})
-            reclusters += int(update.reclustered)
-        assert reclusters >= 1
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingDetector(mode="sometimes")
-        with pytest.raises(ValueError):
-            StreamingDetector(capacity=1)
 
 
 class TestStreamingDiagnoser:
