@@ -297,12 +297,14 @@ class StorageFaultProfile:
         """
         from pathlib import Path
 
+        from repro.stream.durability import CHECKPOINT_FILE, WAL_FILE
+
         root = Path(root_dir)
 
         def targets(tenant: str) -> List[str]:
             return [
-                str(root / tenant / "ticks.wal"),
-                str(root / tenant / "checkpoint.json"),
+                str(root / tenant / WAL_FILE),
+                str(root / tenant / CHECKPOINT_FILE),
             ]
 
         faults: List[FSFault] = []

@@ -630,7 +630,9 @@ class CorruptTenantState(FaultInjector):
 
     @staticmethod
     def _active_wal_segment(tenant_dir: Path) -> Path:
-        wal_path = tenant_dir / "ticks.wal"
+        from repro.stream.durability import WAL_FILE
+
+        wal_path = tenant_dir / WAL_FILE
         if wal_path.is_dir():
             segments = sorted(wal_path.glob("seg-*.wal"))
             if segments:
@@ -642,8 +644,10 @@ class CorruptTenantState(FaultInjector):
         """Corrupt each tenant's state under *root_dir*; returns hits."""
         import shutil
 
+        from repro.stream.durability import CHECKPOINT_FILE
+
         root = Path(root_dir)
-        garbage = '{"version": 1, "detector": {"version'
+        garbage = '{"detector": {"params": {"capa'  # a torn payload
         corrupted: List[str] = []
         for tenant in self.tenants:
             tenant_dir = root / tenant
@@ -652,12 +656,12 @@ class CorruptTenantState(FaultInjector):
             if self.mode == "missing":
                 shutil.rmtree(tenant_dir)
             elif self.mode == "checkpoint":
-                (tenant_dir / "checkpoint.json").write_text(garbage)
-                fallback = tenant_dir / "checkpoint.json.1"
+                (tenant_dir / CHECKPOINT_FILE).write_text(garbage)
+                fallback = tenant_dir / f"{CHECKPOINT_FILE}.1"
                 if fallback.exists():
                     fallback.write_text(garbage)
             elif self.mode == "generation":
-                (tenant_dir / "checkpoint.json").write_text(garbage)
+                (tenant_dir / CHECKPOINT_FILE).write_text(garbage)
             else:  # wal: torn trailing record in the active segment
                 with self._active_wal_segment(tenant_dir).open("a") as handle:
                     handle.write('{"t": 99999.0, "numeric": {"m0"')

@@ -197,9 +197,6 @@ class FleetDetector:
     shared column schema up front, and *tracked* optionally restricts
     which attributes participate in selection (the filter the
     single-stream detector calls ``attributes``).
-    ``recluster_fraction`` / ``bounds_drift`` have no effect; they only
-    exist so version-1 checkpoints, which carry them, round-trip
-    bit-for-bit.
     """
 
     CHECKPOINT_VERSION = 1
@@ -217,8 +214,6 @@ class FleetDetector:
         min_region_s: float = 5.0,
         gap_fill_s: float = 3.0,
         tracked: Optional[Sequence[str]] = None,
-        recluster_fraction: float = 0.05,
-        bounds_drift: float = 0.02,
         quarantine_after: Optional[int] = None,
         quarantine_rel_epsilon: Optional[float] = None,
         batch_fallout: bool = True,
@@ -234,8 +229,6 @@ class FleetDetector:
         )
         self.arena = FleetArena(n_streams, attributes, capacity, window)
         self.capacity = int(capacity)
-        self.recluster_fraction = float(recluster_fraction)
-        self.bounds_drift = float(bounds_drift)
         # Storm path: batch all fallout streams' re-clustering into the
         # grouped numpy kernels.  Runtime-only — deliberately absent from
         # _params() so checkpoints stay byte-identical either way.
@@ -732,8 +725,10 @@ class FleetDetector:
                 else None
             ),
             "mode": "exact",
-            "recluster_fraction": self.recluster_fraction,
-            "bounds_drift": self.bounds_drift,
+            # knobs of the retired incremental mode: version-1
+            # checkpoints carry them, restore ignores them
+            "recluster_fraction": 0.05,
+            "bounds_drift": 0.02,
             "quarantine_after": self.quarantine_after,
             "quarantine_rel_epsilon": self.quarantine_rel_epsilon,
         }
@@ -824,6 +819,32 @@ class FleetDetector:
         }
 
     @classmethod
+    def from_params(
+        cls,
+        params: Mapping[str, object],
+        n_streams: int,
+        attributes: Sequence[str],
+    ) -> "FleetDetector":
+        """A fresh fleet configured by a checkpoint's ``params`` dict."""
+        if params.get("mode") != "exact":
+            raise ValueError("fleet restore supports mode='exact' only")
+        return cls(
+            n_streams=n_streams,
+            attributes=attributes,
+            capacity=int(params["capacity"]),
+            window=int(params["window"]),
+            pp_threshold=float(params["pp_threshold"]),
+            min_pts=int(params["min_pts"]),
+            cluster_fraction=float(params["cluster_fraction"]),
+            include_noise=bool(params["include_noise"]),
+            min_region_s=float(params["min_region_s"]),
+            gap_fill_s=float(params["gap_fill_s"]),
+            tracked=params.get("attributes"),
+            quarantine_after=params.get("quarantine_after"),
+            quarantine_rel_epsilon=params.get("quarantine_rel_epsilon"),
+        )
+
+    @classmethod
     def from_checkpoints(
         cls,
         states: Sequence[Mapping[str, object]],
@@ -850,8 +871,6 @@ class FleetDetector:
                 raise ValueError(
                     "fleet checkpoints must share one parameter set"
                 )
-        if params.get("mode") != "exact":
-            raise ValueError("fleet restore supports mode='exact' only")
         attrs = list(attributes) if attributes is not None else None
         if attrs is None:
             for st in states:
@@ -863,23 +882,7 @@ class FleetDetector:
             raise ValueError(
                 "attributes required when no state has a window"
             )
-        det = cls(
-            n_streams=len(states),
-            attributes=attrs,
-            capacity=int(params["capacity"]),
-            window=int(params["window"]),
-            pp_threshold=float(params["pp_threshold"]),
-            min_pts=int(params["min_pts"]),
-            cluster_fraction=float(params["cluster_fraction"]),
-            include_noise=bool(params["include_noise"]),
-            min_region_s=float(params["min_region_s"]),
-            gap_fill_s=float(params["gap_fill_s"]),
-            tracked=params.get("attributes"),
-            recluster_fraction=float(params["recluster_fraction"]),
-            bounds_drift=float(params["bounds_drift"]),
-            quarantine_after=params.get("quarantine_after"),
-            quarantine_rel_epsilon=params.get("quarantine_rel_epsilon"),
-        )
+        det = cls.from_params(params, len(states), attrs)
         S, A = det.n_streams, len(det.arena.attributes)
         ai_of = det.arena._attr_index
         n_rows = np.zeros(S, dtype=np.int64)

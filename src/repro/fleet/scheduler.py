@@ -18,13 +18,13 @@ is decoupled behind a queue with explicit backpressure:
   learned from one tenant immediately ranks for every other.
 
 Durability is per tenant: tenants listed in *durable* get their own
-WAL/checkpoint directory (``root_dir/<tenant>/``) using the exact
-single-stream formats (:class:`~repro.stream.wal.TickWAL`,
-:class:`~repro.stream.wal.CheckpointStore`,
-``StreamingDetector.checkpoint`` schema), so a crashed fleet recovers
-tenant state with :meth:`FleetScheduler.recover` — or any single tenant
-can be peeled off into a plain
-:class:`~repro.stream.supervisor.StreamSupervisor` without conversion.
+directory (``root_dir/<tenant>/``) under the durable-tenant protocol of
+:mod:`repro.stream.durability` — the one the single-stream supervisor
+uses, with lanes checkpointed in the ``StreamingDetector.checkpoint``
+schema — so a crashed fleet recovers tenant state with
+:meth:`FleetScheduler.recover`, and any single tenant can be peeled off
+into a plain :class:`~repro.stream.supervisor.StreamSupervisor` without
+conversion (and back; ``tests/test_supervisor.py::TestFleetInterchange``).
 
 Per-tenant observability (lag, sheds, verdicts, tick latency) lands in
 the process metrics registry as labeled families
@@ -75,12 +75,13 @@ from repro.fleet.engine import FleetDetector, FleetTick
 from repro.fleet.health import HealthTracker, RecoveryReport, TenantRecovery
 from repro.obs import metrics
 from repro.obs import trace
-from repro.stream.durability import TenantDurability
-from repro.stream.wal import (
-    DEFAULT_SEGMENT_BYTES,
-    CheckpointStore,
-    TickWAL,
+from repro.stream.durability import (
+    MAX_WAL_BYTES,
+    TenantDurability,
+    TenantLoad,
+    load_tenant,
 )
+from repro.stream.wal import DEFAULT_SEGMENT_BYTES, TickWAL
 
 __all__ = ["FleetScheduler", "SchedulerReport", "SHED_POLICIES"]
 
@@ -275,35 +276,6 @@ class _Sequencer:
             self._cond.notify_all()
 
 
-def _fresh_lane_state(params: Dict[str, object]) -> Dict[str, object]:
-    """An empty-lane checkpoint for a tenant skipped during recovery.
-
-    Shares the fleet's parameter set (``from_checkpoints`` requires
-    one config per fleet) but carries no window, counters, or emitted
-    regions — the tenant restarts from scratch.
-    """
-    import copy as _copy
-
-    return {
-        "version": FleetDetector.CHECKPOINT_VERSION,
-        "params": _copy.deepcopy(params),
-        "tick_count": 0,
-        "recluster_count": 0,
-        "dropped_ticks": 0,
-        "sanitized_values": 0,
-        "quarantined": [],
-        "stuck_runs": {},
-        "recent_values": {},
-        "prev_value": {},
-        "last_seen": {},
-        "last_cat": {},
-        "last_time": None,
-        "emitted_ends": [],
-        "window": None,
-        "cluster_state": None,
-    }
-
-
 class FleetScheduler:
     """Drive a :class:`FleetDetector` with bounded diagnosis fallout.
 
@@ -389,7 +361,7 @@ class FleetScheduler:
         breaker_threshold: int = 3,
         breaker_cooldown_rounds: int = 8,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        max_wal_bytes_per_tenant: int = 8 * 1024 * 1024,
+        max_wal_bytes_per_tenant: int = MAX_WAL_BYTES,
         storage_retries: int = 2,
         storage_backoff_s: float = 0.01,
         storage_probe_every: int = 8,
@@ -444,21 +416,12 @@ class FleetScheduler:
         self.root_dir = Path(root_dir) if root_dir is not None else None
         self._durable: Set[str] = set(durable)
         self.max_wal_bytes_per_tenant = int(max_wal_bytes_per_tenant)
-        self._wals: Dict[str, TickWAL] = {}
-        self._ckpts: Dict[str, CheckpointStore] = {}
         self._durability: Dict[str, TenantDurability] = {}
         for name in durable:
-            tenant_dir = self.root_dir / name  # type: ignore[operator]
-            self._wals[name] = TickWAL(
-                tenant_dir / "ticks.wal",
+            self._durability[name] = TenantDurability.open(
+                self.root_dir / name,  # type: ignore[operator]
                 fsync_every=fsync_every,
                 segment_bytes=wal_segment_bytes,
-            )
-            self._ckpts[name] = CheckpointStore(tenant_dir / "checkpoint.json")
-            self._durability[name] = TenantDurability(
-                name,
-                self._wals[name],
-                self._ckpts[name],
                 max_retries=storage_retries,
                 backoff_s=storage_backoff_s,
                 probe_every=storage_probe_every,
@@ -466,6 +429,9 @@ class FleetScheduler:
                 on_transition=self._make_durability_callback(name),
                 label_metrics=label_metrics,
             )
+        self._wals: Dict[str, TickWAL] = {
+            name: managed.wal for name, managed in self._durability.items()
+        }
         self._pool = ThreadPoolExecutor(
             max_workers=int(diagnose_jobs),
             thread_name_prefix="fleet-diagnose",
@@ -687,14 +653,12 @@ class FleetScheduler:
                 "mode": managed.mode,
                 "reason": managed.degraded_reason,
             }
-        wal = self._wals.get(tenant)
-        if wal is not None:
             try:
-                segment, offset = wal.durable_position()
+                segment, offset = managed.wal.durable_position()
                 context["wal"] = {
                     "durable_segment": str(segment),
                     "durable_offset": int(offset),
-                    "bytes_retained": int(wal.bytes_retained()),
+                    "bytes_retained": int(managed.wal.bytes_retained()),
                 }
             except OSError:
                 pass
@@ -1352,38 +1316,28 @@ class FleetScheduler:
         """
         for name in sorted(self._durable):
             s = self._stream_of[name]
-            saved = self._durability[name].save_checkpoint(
-                {
-                    "version": 1,
-                    "detector": self.detector.stream_checkpoint(s),
-                    "processed_until": (
-                        float(self.detector.last_time[s])
-                        if self.detector._has_time[s]
-                        else None
-                    ),
-                }
+            saved = self._durability[name].checkpoint(
+                self.detector.stream_checkpoint(s),
+                (
+                    float(self.detector.last_time[s])
+                    if self.detector._has_time[s]
+                    else None
+                ),
+                mark=not bool(self.detector.poisoned[s]),
+                max_bytes=self.max_wal_bytes_per_tenant,
             )
             if saved:
-                self._durability[name].retire_wal(
-                    mark=not bool(self.detector.poisoned[s]),
-                    max_bytes=self.max_wal_bytes_per_tenant,
-                )
                 self.report.checkpoints += 1
                 _SCHED_CHECKPOINTS.inc()
         self._export_wal_bytes()
 
     def _export_wal_bytes(self) -> None:
         """Publish retained WAL bytes (per tenant + fleet total)."""
-        total = 0
-        for name, wal in self._wals.items():
-            try:
-                retained = wal.bytes_retained()
-            except OSError:
-                continue
-            total += retained
-            if self.label_metrics:
-                _WAL_BYTES.labels(tenant=name).set(retained)
-        _WAL_BYTES_TOTAL.set(total)
+        retained = {n: b for n, b in self.wal_bytes().items() if b >= 0}
+        if self.label_metrics:
+            for name, size in retained.items():
+                _WAL_BYTES.labels(tenant=name).set(size)
+        _WAL_BYTES_TOTAL.set(sum(retained.values()))
 
     def wal_bytes(self) -> Dict[str, int]:
         """Retained WAL bytes per durable tenant (for reports/tests)."""
@@ -1439,78 +1393,30 @@ class FleetScheduler:
         """
         root = Path(root_dir)
         outcomes: Dict[str, TenantRecovery] = {}
-        states: Dict[str, Dict[str, object]] = {}
-        replays: Dict[str, List[Tuple[float, Dict[str, float]]]] = {}
-        wal_corruption: Dict[str, str] = {}
+        loads: Dict[str, TenantLoad] = {}
         for name in tenants:
-            ckpt_path = root / name / "checkpoint.json"
-            store = CheckpointStore(ckpt_path)
-            stored = store.load()
-            if stored is None:
-                # CheckpointStore.load() returns None for both absent
-                # and unreadable payloads; the path tells them apart
-                status = "corrupt" if ckpt_path.exists() else "missing"
+            stored = load_tenant(root / name)
+            if stored.status == "ok":
+                loads[name] = stored
+            else:
                 outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status=status,
-                    detail=f"checkpoint {status} at {ckpt_path}",
+                    tenant=name, status=stored.status, detail=stored.detail
                 )
-                continue
-            detector_state = (
-                stored.get("detector") if isinstance(stored, dict) else None
-            )
-            if not isinstance(detector_state, dict) or (
-                detector_state.get("version")
-                != FleetDetector.CHECKPOINT_VERSION
-            ):
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status="corrupt",
-                    detail="malformed checkpoint payload",
-                )
-                continue
-            until = stored.get("processed_until")
-            until = None if until is None else float(until)
-            wal = TickWAL(root / name / "ticks.wal")
-            rows: List[Tuple[float, Dict[str, float]]] = []
-            try:
-                ticks, wal_report = wal.replay_report()
-                for time, numeric_row, _cat in ticks:
-                    if until is not None and time <= until:
-                        continue
-                    rows.append((float(time), dict(numeric_row)))
-            except Exception as exc:
-                outcomes[name] = TenantRecovery(
-                    tenant=name,
-                    status="corrupt",
-                    detail=f"WAL replay failed: {exc}",
-                )
-                continue
-            finally:
-                wal.close()
-            states[name] = detector_state
-            replays[name] = rows
-            if wal_report.corrupt_records or wal_report.corrupt_segments:
-                wal_corruption[name] = (
-                    f"wal corruption: {wal_report.corrupt_records} "
-                    f"records / {wal_report.corrupt_segments} segments "
-                    f"skipped"
-                )
-        recovered = [name for name in tenants if name in states]
-        if not recovered:
+        if not loads:
             raise FileNotFoundError(
                 f"no recoverable durable tenants under {root}"
             )
         # skipped tenants restart with a fresh empty lane sharing the
         # fleet's parameter set, so the tenant list (and stream order)
-        # survives a partial recovery
-        params = states[recovered[0]]["params"]
-        state_list = [
-            states.get(name) or _fresh_lane_state(params)
-            for name in tenants
-        ]
+        # survives a partial recovery; the idle lane is built over a
+        # placeholder column, as StreamingDetector builds its own
+        first = next(iter(loads.values())).detector
+        fresh = FleetDetector.from_params(
+            first["params"], 1, ["_"]  # type: ignore[index]
+        ).stream_checkpoint(0)
         detector = FleetDetector.from_checkpoints(
-            state_list, attributes=attributes
+            [loads[n].detector if n in loads else fresh for n in tenants],
+            attributes=attributes,
         )
         scheduler = cls(
             detector,
@@ -1521,22 +1427,16 @@ class FleetScheduler:
         )
         S = detector.n_streams
         attrs = detector.attributes
-        ai_of = {a: j for j, a in enumerate(attrs)}
-        for name in recovered:
+        for name, stored in loads.items():
             s = scheduler._stream_of[name]
-            rows = replays[name]
+            active = np.arange(S) == s
             replayed = 0
             try:
-                for time, numeric_row in rows:
-                    times = np.zeros(S)
+                for time, numeric_row, _cat in stored.ticks:
                     vals = np.zeros((S, len(attrs)))
-                    active = np.zeros(S, dtype=bool)
-                    times[s] = time
-                    active[s] = True
-                    for a, v in numeric_row.items():
-                        if a in ai_of:
-                            vals[s, ai_of[a]] = v
-                    tick = detector.tick(times, vals, active)
+                    # a missing cell is repaired like a NaN one
+                    vals[s] = [numeric_row.get(a, np.nan) for a in attrs]
+                    tick = detector.tick(active * float(time), vals, active)
                     replayed += 1
                     for stream, regions in tick.closed.items():
                         for region in regions:
@@ -1556,14 +1456,15 @@ class FleetScheduler:
                 tenant=name,
                 status="recovered",
                 replayed_ticks=replayed,
-                detail=wal_corruption.get(name, ""),
+                detail=stored.detail,
             )
         scheduler._flush_buffer()
         # CRC-skipped WAL records are a forensics trigger: the tenant
         # recovered, but something rotted its durable history.
-        for name, detail in wal_corruption.items():
-            scheduler._note_interest(name, "wal_corruption")
-            scheduler._queue_incident(name, detail, 0)
+        for name, stored in loads.items():
+            if stored.detail:
+                scheduler._note_interest(name, "wal_corruption")
+                scheduler._queue_incident(name, stored.detail, 0)
         scheduler._flush_incidents(force=True)
         report = RecoveryReport(
             outcomes=[outcomes[name] for name in tenants]
@@ -1621,13 +1522,8 @@ class FleetScheduler:
         self.drain()
         self._pool.shutdown(wait=True)
         for managed in self._durability.values():
-            managed.flush_volatile()
+            managed.close()
         self._export_wal_bytes()
-        for wal in self._wals.values():
-            try:
-                wal.close()
-            except OSError:
-                pass
         self.health.close()
         if self.health.transition_hook is self._on_health_transition:
             self.health.transition_hook = None

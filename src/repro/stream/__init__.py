@@ -14,8 +14,8 @@ keeps the pipeline's state resident instead:
 ``supervisor`` :class:`StreamSupervisor` — crash recovery around the
               detector: periodic checkpoints, exponential-backoff
               restarts, replay-exact restore;
-``wal`` / ``durability`` the write-ahead tick log and checkpoint store
-              behind durable recovery;
+``wal`` / ``durability`` the write-ahead tick log, checkpoint store
+              and the durable-tenant protocol shared with fleet tenants;
 ``golden``    frozen seed implementations (loop Equation 4, dense-matrix
               DBSCAN), the equivalence ground truth and benchmark
               baseline.

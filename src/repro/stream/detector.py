@@ -115,8 +115,6 @@ class StreamingDetector:
         length).  ``None`` (default) keeps the exact-equality rule.
     """
 
-    CHECKPOINT_VERSION = FleetDetector.CHECKPOINT_VERSION
-
     def __init__(
         self,
         capacity: int = 120,
@@ -338,22 +336,17 @@ class StreamingDetector:
     @classmethod
     def from_checkpoint(cls, state: Mapping[str, object]) -> "StreamingDetector":
         """Rebuild a detector from a :meth:`checkpoint` dict."""
-        version = state.get("version")
-        if version != cls.CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version!r} "
-                f"(expected {cls.CHECKPOINT_VERSION})"
-            )
-        params = dict(state["params"])  # type: ignore[arg-type]
-        # carried by version-1 checkpoints, without effect
-        params.pop("recluster_fraction", None)
-        params.pop("bounds_drift", None)
-        detector = cls(**params)
         win = state.get("window")
+        # the engine validates the version and the stored params; a
+        # state without a window restores over the placeholder column
+        fleet = FleetDetector.from_checkpoints(
+            [state], attributes=None if win is not None else ["_"]
+        )
+        detector = cls(capacity=fleet.capacity)
         if win is None:
             detector._idle = copy.deepcopy(dict(state))
             return detector
-        detector.fleet = FleetDetector.from_checkpoints([state])
+        detector.fleet = fleet
         detector._idle = None
         detector._categorical = {
             a: deque(win["categorical"][a], maxlen=detector.capacity)

@@ -1,10 +1,12 @@
-"""Per-tenant durability manager: classify, retry, degrade, re-promote.
+"""The durable-tenant protocol: layout, payload, policy, and loader.
 
-The WAL and checkpoint paths can now *fail* (see :mod:`repro.faults.fs`),
-so something has to decide what a failure means.  This module is that
-policy layer, sitting between the scheduler's persistence calls and a
-tenant's :class:`~repro.stream.wal.TickWAL` / ``CheckpointStore``:
+A durable tenant (a fleet lane or a supervised stream) owns a directory
+holding a write-ahead tick log and a checkpoint store.  Only this module
+knows that layout and the checkpoint payload, so a directory written by
+:class:`~repro.fleet.scheduler.FleetScheduler` resumes under
+:class:`~repro.stream.supervisor.StreamSupervisor`, and back.
 
+* :func:`load_tenant` reads a tenant directory back for recovery.
 * :func:`classify_storage_error` sorts an ``OSError`` into the taxonomy
   from docs/ROBUSTNESS.md — ``"full_disk"`` (ENOSPC/EDQUOT: retrying
   immediately is pointless), ``"transient"`` (EIO/EAGAIN/EINTR/
@@ -35,18 +37,36 @@ from __future__ import annotations
 import errno
 import time as _time
 from collections import deque
-from typing import Callable, Deque, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.faults import fs as _fs
 from repro.obs import metrics
-from repro.stream.wal import CheckpointStore, TickWAL
+from repro.stream.wal import CheckpointStore, RawTick, TickWAL, WALReplayReport
+from repro.stream.wal import DEFAULT_FSYNC_EVERY, DEFAULT_SEGMENT_BYTES
 
 __all__ = [
+    "CHECKPOINT_FILE",
     "FULL_DISK_ERRNOS",
+    "MAX_WAL_BYTES",
     "TRANSIENT_ERRNOS",
     "TenantDurability",
+    "TenantLoad",
+    "WAL_FILE",
     "classify_storage_error",
+    "load_tenant",
 ]
+
+#: a tenant directory's write-ahead tick log and checkpoint store.
+WAL_FILE = "ticks.wal"
+CHECKPOINT_FILE = "checkpoint.json"
+
+#: version of the ``{"version", "detector", "processed_until"}`` payload.
+PAYLOAD_VERSION = 1
+
+#: retained-WAL cap per tenant, kept by compaction at every checkpoint.
+MAX_WAL_BYTES = 8 * 1024 * 1024
 
 #: the disk itself is out of space — retrying immediately is pointless.
 FULL_DISK_ERRNOS = frozenset({errno.ENOSPC, errno.EDQUOT})
@@ -100,8 +120,6 @@ _TENANT_DURABILITY = metrics.REGISTRY.gauge(
     "Per-tenant persistence mode (0 durable, 1 degraded)",
     labelnames=("tenant",),
 )
-
-_RawTick = Tuple[float, Dict[str, float], Dict[str, str]]
 
 #: persistence modes a tenant can be in.
 DURABLE = "durable"
@@ -173,7 +191,7 @@ class TenantDurability:
         #: current persistence mode: ``"durable"`` or ``"degraded"``.
         self.mode = DURABLE
         #: acknowledged-but-volatile ticks held while degraded.
-        self.buffer: Deque[_RawTick] = deque()
+        self.buffer: Deque[RawTick] = deque()
         #: why the tenant last degraded (classification + errno text).
         self.degraded_reason = ""
         self._since_probe = 0
@@ -183,6 +201,20 @@ class TenantDurability:
         self.volatile_dropped = 0
         if self._label_metrics:
             _TENANT_DURABILITY.labels(tenant=tenant).set(0)
+
+    @classmethod
+    def open(
+        cls,
+        tenant_dir: Union[str, Path],
+        fsync_every: int = DEFAULT_FSYNC_EVERY,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        **policy,
+    ) -> "TenantDurability":
+        """The policy over a tenant directory, named after it."""
+        tenant_dir = Path(tenant_dir)
+        wal = TickWAL(tenant_dir / WAL_FILE, fsync_every, segment_bytes)
+        store = CheckpointStore(tenant_dir / CHECKPOINT_FILE)
+        return cls(tenant_dir.name, wal, store, **policy)
 
     # -- mode transitions ----------------------------------------------
     def _degrade(self, reason: str) -> None:
@@ -295,16 +327,26 @@ class TenantDurability:
             self._degrade(f"{classify_storage_error(exc)}: {exc}")
             return False
 
-    def flush(self) -> bool:
-        """Fsync the WAL; degrades (and returns False) on failure."""
-        if self.mode == DEGRADED:
-            return False
-        try:
-            self._with_retries(self.wal.flush)
-            return True
-        except OSError as exc:
-            self._degrade(f"{classify_storage_error(exc)}: {exc}")
-            return False
+    def checkpoint(
+        self,
+        state: Mapping[str, object],
+        processed_until: Optional[float],
+        *,
+        mark: bool = True,
+        max_bytes: int = MAX_WAL_BYTES,
+    ) -> bool:
+        """Save *state* (covering ticks up to *processed_until*), then
+        :meth:`retire_wal`; True when the checkpoint durably landed."""
+        saved = self.save_checkpoint(
+            {
+                "version": PAYLOAD_VERSION,
+                "detector": state,
+                "processed_until": processed_until,
+            }
+        )
+        if saved:
+            self.retire_wal(mark=mark, max_bytes=max_bytes)
+        return saved
 
     def retire_wal(self, *, mark: bool, max_bytes: int) -> bool:
         """Advance WAL retention after a checkpoint; never raises.
@@ -380,8 +422,89 @@ class TenantDurability:
         self._promote()
         return True
 
+    def ticks_after(self, until: Optional[float]) -> List[RawTick]:
+        """Acknowledged ticks after *until*: the WAL's, then the buffer's."""
+        return _after(self.wal.replay(), until) + _after(self.buffer, until)
+
     def flush_volatile(self) -> int:
         """Final drain attempt (for close); returns ticks still stranded."""
         if self.buffer:
             self._probe()
         return len(self.buffer)
+
+    def close(self) -> None:
+        """Final drain attempt, then release the WAL handle."""
+        self.flush_volatile()
+        self.wal.close()
+
+
+def _after(ticks: Iterable[RawTick], until: Optional[float]) -> List[RawTick]:
+    """The ticks strictly after the *until* watermark (all when None)."""
+    return [tick for tick in ticks if until is None or tick[0] > until]
+
+
+@dataclass
+class TenantLoad:
+    """A tenant directory read back for recovery (:func:`load_tenant`)."""
+
+    #: ``"ok"``, ``"missing"`` (no checkpoint on disk) or ``"corrupt"``,
+    #: and why (for ``"ok"``: the WAL records replay had to skip, if any).
+    status: str
+    detail: str = ""
+    #: the validated detector checkpoint and the time of the last tick
+    #: it covers (``None`` unless ``"ok"``).
+    detector: Optional[Dict[str, object]] = None
+    watermark: Optional[float] = None
+    #: logged ticks after that watermark (all of them when missing).
+    ticks: List[RawTick] = field(default_factory=list)
+    wal_report: Optional[WALReplayReport] = None
+
+
+def load_tenant(tenant_dir: Union[str, Path]) -> TenantLoad:
+    """Read a durable tenant directory back for recovery.
+
+    The checkpoint store falls back a generation on its own; a checkpoint
+    that is still unreadable, or whose payload is not a version-1
+    detector checkpoint, makes the tenant ``"corrupt"``, as does a WAL
+    whose replay raises.  Corrupt WAL *records* are skipped by replay
+    and named in the detail of an ``"ok"`` load.
+    """
+    from repro.fleet.engine import FleetDetector  # repro.fleet imports us
+
+    tenant_dir = Path(tenant_dir)
+    ckpt_path = tenant_dir / CHECKPOINT_FILE
+    stored = CheckpointStore(ckpt_path).load()
+    load = TenantLoad("ok")
+    if stored is None:
+        # load() returns None for absent and unreadable payloads alike
+        status = "corrupt" if ckpt_path.exists() else "missing"
+        load = TenantLoad(status, f"checkpoint {status} at {ckpt_path}")
+        if status == "corrupt":
+            return load
+    else:
+        state, until = stored.get("detector"), stored.get("processed_until")
+        if (
+            stored.get("version") != PAYLOAD_VERSION
+            or not isinstance(state, dict)
+            or state.get("version") != FleetDetector.CHECKPOINT_VERSION
+        ):
+            return TenantLoad("corrupt", "malformed checkpoint payload")
+        load.detector = state
+        load.watermark = None if until is None else float(until)
+    wal = TickWAL(tenant_dir / WAL_FILE)
+    try:
+        ticks, report = wal.replay_report()
+    except Exception as exc:
+        return TenantLoad("corrupt", f"WAL replay failed: {exc}")
+    finally:
+        wal.close()
+    load.ticks = _after(ticks, load.watermark)
+    load.wal_report = report
+    if load.status == "ok" and (
+        report.corrupt_records or report.corrupt_segments
+    ):
+        load.detail = (
+            f"wal corruption: {report.corrupt_records} records / "
+            f"{report.corrupt_segments} segments skipped"
+        )
+    return load

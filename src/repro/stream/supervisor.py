@@ -17,14 +17,16 @@ downtime instead of a lost diagnosis session:
 * the backoff delay resets once a restarted source makes progress, so a
   flapping collector is retried quickly while a hard-down one backs off
   to ``max_backoff_s``;
-* with a ``wal_dir``, recovery goes through a write-ahead tick log
-  (:mod:`repro.stream.wal`): every tick is logged *before* the detector
-  sees it, checkpoints are persisted atomically (and truncate the log),
-  and a fault — or a whole process restart — restores the last durable
-  checkpoint and replays the logged ticks through the restored
-  detector.  Replay is bit-exact and the source resumes strictly after
-  the last logged tick, so **zero ticks are re-processed** and the
-  recovered detector is bitwise-identical to an uninterrupted run.
+* with a ``wal_dir``, the stream is a durable tenant
+  (:mod:`repro.stream.durability`, shared with fleet tenants): every
+  tick is logged *before* the detector sees it, checkpoints are
+  persisted atomically, and a fault — or a whole process restart —
+  restores the last durable checkpoint and replays the logged ticks
+  through the restored detector.  Replay is bit-exact and the source
+  resumes strictly after the last logged tick, so **zero ticks are
+  re-processed** and the recovered detector is bitwise-identical to an
+  uninterrupted run.  A sick disk degrades the stream to volatile
+  buffering instead of stopping it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ import dataclasses
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.data.regions import Region
 from repro.faults.injectors import CollectorFault, Tick
 from repro.obs import metrics, trace
-from repro.stream.detector import StreamingDetector
-from repro.stream.wal import CheckpointStore, TickWAL
+from repro.stream.detector import StreamingDetector, StreamTick
+from repro.stream.durability import TenantDurability, load_tenant
 
 __all__ = ["StreamSupervisor", "SupervisorReport"]
 
@@ -139,18 +141,19 @@ class StreamSupervisor:
         Ticks between detector checkpoints (0 disables periodic
         checkpoints; recovery then restarts from the beginning).
     sleep:
-        Injectable sleep function (tests pass ``lambda s: None``).
+        Injectable sleep function (tests pass ``lambda s: None``); it
+        also paces the storage-retry backoff of a ``wal_dir``.
     fault_types:
         Exception types treated as recoverable collector faults.
     wal_dir:
-        Directory for durable recovery state (``ticks.wal`` +
-        ``checkpoint.json``).  When set, every tick is write-ahead
-        logged, checkpoints persist atomically, and recovery — from a
-        fault or a fresh process — replays the log instead of
-        re-pulling ticks from the source.  ``None`` (default) keeps the
-        original in-memory checkpointing.
+        Durable tenant directory (see :mod:`repro.stream.durability`).
+        When set, every tick is write-ahead logged, checkpoints persist
+        atomically, and recovery — from a fault or a fresh process —
+        replays the log instead of re-pulling ticks from the source; a
+        directory whose checkpoint is unreadable raises ``ValueError``.
+        ``None`` (default) keeps the original in-memory checkpointing.
     fsync_every:
-        WAL appends per fsync (see :class:`~repro.stream.wal.TickWAL`).
+        WAL appends per fsync (see :mod:`repro.stream.wal`).
     """
 
     def __init__(
@@ -200,35 +203,48 @@ class StreamSupervisor:
         closed_regions: List[Region] = []
         backoff_waits: List[float] = []
         detector = self.detector
-        processed_until: Optional[float] = None
+        watermark: Optional[float] = None
         seen_ends: set = set()
         span = trace.span("supervisor.run", wal=self.wal_dir is not None)
 
-        wal: Optional[TickWAL] = None
-        ckpt_store: Optional[CheckpointStore] = None
+        def collect(update: StreamTick) -> None:
+            for region in update.closed_regions:
+                if region.end not in seen_ends:
+                    seen_ends.add(region.end)
+                    closed_regions.append(region)
+
+        def replay(ticks: Iterable[Tick]) -> None:
+            # bit-exact: the detector was restored from the checkpoint
+            # these ticks follow
+            nonlocal watermark
+            for time, numeric_row, categorical_row in ticks:
+                collect(detector.tick(time, numeric_row, categorical_row))
+                _SUP_WAL_REPLAYED.inc()
+                watermark = float(time)
+
+        durability: Optional[TenantDurability] = None
         with span:
             if self.wal_dir is not None:
-                ckpt_store = CheckpointStore(self.wal_dir / "checkpoint.json")
-                wal = TickWAL(
-                    self.wal_dir / "ticks.wal", fsync_every=self.fsync_every
-                )
-                stored = ckpt_store.load()
-                if stored is not None:
-                    detector = StreamingDetector.from_checkpoint(
-                        stored["detector"]  # type: ignore[arg-type]
+                stored = load_tenant(self.wal_dir)
+                if stored.status == "corrupt":
+                    raise ValueError(
+                        f"cannot resume from {self.wal_dir}: {stored.detail}"
                     )
-                    until = stored.get("processed_until")
-                    processed_until = None if until is None else float(until)
-                processed_until = self._replay_wal(
-                    wal, detector, processed_until, closed_regions, seen_ends
+                if stored.detector is not None:
+                    detector = StreamingDetector.from_checkpoint(
+                        stored.detector
+                    )
+                watermark = stored.watermark
+                replay(stored.ticks)
+                durability = TenantDurability.open(
+                    self.wal_dir,
+                    fsync_every=self.fsync_every,
+                    sleep=self._sleep,
                 )
 
             # the recovery baseline: (state, processed-up-to time)
-            checkpoint: Tuple[Dict[str, object], Optional[float]] = (
-                detector.checkpoint(),
-                processed_until,
-            )
-            high_water = processed_until
+            checkpoint = (detector.checkpoint(), watermark)
+            high_water = watermark
             delay = self.backoff_s
             attempt = 0
             restarts = 0
@@ -239,15 +255,14 @@ class StreamSupervisor:
                     try:
                         for tick in self.source_factory(attempt):
                             time, numeric_row, categorical_row = tick
-                            if (
-                                processed_until is not None
-                                and time <= processed_until
-                            ):
+                            if watermark is not None and time <= watermark:
                                 continue
-                            if wal is not None:
-                                # write-ahead: the tick is durable before the
-                                # detector ever sees it
-                                wal.append(time, numeric_row, categorical_row)
+                            if durability is not None:
+                                # write-ahead: the tick is logged (on a sick
+                                # disk: buffered) before the detector sees it
+                                durability.append(
+                                    time, numeric_row, categorical_row
+                                )
                             update = detector.tick(
                                 time, numeric_row, categorical_row
                             )
@@ -255,14 +270,11 @@ class StreamSupervisor:
                                 _SUP_REPROCESSED.inc()
                             else:
                                 high_water = float(time)
-                            processed_until = float(time)
+                            watermark = float(time)
                             progressed = True
                             ticks_processed += 1
                             _SUP_TICKS.inc()
-                            for region in update.closed_regions:
-                                if region.end not in seen_ends:
-                                    seen_ends.add(region.end)
-                                    closed_regions.append(region)
+                            collect(update)
                             if (
                                 self.checkpoint_every
                                 and ticks_processed % self.checkpoint_every
@@ -270,21 +282,11 @@ class StreamSupervisor:
                             ):
                                 t0 = _time.perf_counter()
                                 state = detector.checkpoint()
-                                checkpoint = (state, processed_until)
-                                if ckpt_store is not None and wal is not None:
-                                    ckpt_store.save(
-                                        {
-                                            "version": 1,
-                                            "detector": state,
-                                            "processed_until": processed_until,
-                                        }
+                                checkpoint = (state, watermark)
+                                if durability is not None:
+                                    durability.checkpoint(
+                                        state, watermark
                                     )
-                                    # retain segments back to the
-                                    # previous checkpoint generation so
-                                    # a fallback load still finds its
-                                    # replay ticks (replay filters by
-                                    # processed_until either way)
-                                    wal.mark_checkpoint()
                                 _SUP_CHECKPOINT_SECONDS.observe(
                                     _time.perf_counter() - t0
                                 )
@@ -309,17 +311,14 @@ class StreamSupervisor:
                         detector = StreamingDetector.from_checkpoint(
                             checkpoint[0]
                         )
-                        processed_until = checkpoint[1]
-                        if wal is not None:
+                        watermark = checkpoint[1]
+                        if durability is not None:
                             # recover the post-checkpoint ticks from the log
                             # instead of re-pulling them from the source
-                            processed_until = self._replay_wal(
-                                wal, detector, processed_until,
-                                closed_regions, seen_ends,
-                            )
+                            replay(durability.ticks_after(watermark))
             finally:
-                if wal is not None:
-                    wal.close()
+                if durability is not None:
+                    durability.close()
             self.detector = detector
             report = SupervisorReport(
                 closed_regions=closed_regions,
@@ -335,29 +334,3 @@ class StreamSupervisor:
                 closed_regions=len(report.closed_regions),
             )
         return report
-
-    @staticmethod
-    def _replay_wal(
-        wal: TickWAL,
-        detector: StreamingDetector,
-        processed_until: Optional[float],
-        closed_regions: List[Region],
-        seen_ends: set,
-    ) -> Optional[float]:
-        """Feed logged ticks after *processed_until* through *detector*.
-
-        Returns the new processed-until watermark.  Replay is bit-exact:
-        the detector was restored from the checkpoint the log tails, so
-        after replay its state equals an uninterrupted run's.
-        """
-        for time, numeric_row, categorical_row in wal.replay():
-            if processed_until is not None and time <= processed_until:
-                continue
-            update = detector.tick(time, numeric_row, categorical_row)
-            _SUP_WAL_REPLAYED.inc()
-            processed_until = float(time)
-            for region in update.closed_regions:
-                if region.end not in seen_ends:
-                    seen_ends.add(region.end)
-                    closed_regions.append(region)
-        return processed_until

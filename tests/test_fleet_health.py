@@ -527,10 +527,15 @@ class TestPartialRecovery:
             assert outcome.replayed_ticks > 0
             s = self.TENANTS.index(name)
             assert recovered.detector.stream_checkpoint(s) == states[name]
-        # skipped tenants come back quarantined on a fresh empty lane
+        # skipped tenants come back quarantined on a fresh empty lane:
+        # the checkpoint of a same-config lane that has seen nothing
+        fresh = FleetDetector(1, ["_"], **DET_KW).stream_checkpoint(0)
+        assert fresh["params"] == states["alpha"]["params"]
         for name in ("beta", "gamma"):
             assert recovered.health.state(name) == "quarantined"
             assert "recovery" in recovered.health.reason(name)
+            s = self.TENANTS.index(name)
+            assert recovered.detector.stream_checkpoint(s) == fresh
         # and the partially recovered fleet still ticks all lanes
         src = FleetSimSource(len(self.TENANTS), ATTRS, seed=555)
         for times, values, active in src.take(5):
