@@ -33,13 +33,15 @@ from pathlib import Path
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_perf_engine.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+# the frozen seed copies live in the repository's tests/ package
+sys.path.insert(0, str(_REPO_ROOT))
 
 from repro.anomalies.library import ANOMALY_CAUSES  # noqa: E402
 from repro.core.causal import CausalModel  # noqa: E402
 from repro.core.generator import GeneratorConfig, PredicateGenerator  # noqa: E402
 from repro.eval.harness import build_suite, rank_models  # noqa: E402
 from repro.perf.cache import LabeledSpaceCache  # noqa: E402
-from repro.perf.golden import (  # noqa: E402
+from tests.golden_perf import (  # noqa: E402
     golden_generate_with_artifacts,
     golden_rank,
 )

@@ -15,10 +15,11 @@ keeps the pipeline's state resident instead:
               detector: periodic checkpoints, exponential-backoff
               restarts, replay-exact restore;
 ``wal`` / ``durability`` the write-ahead tick log, checkpoint store
-              and the durable-tenant protocol shared with fleet tenants;
-``golden``    frozen seed implementations (loop Equation 4, dense-matrix
-              DBSCAN), the equivalence ground truth and benchmark
-              baseline.
+              and the durable-tenant protocol shared with fleet tenants.
+
+The frozen seed detector (loop Equation 4, dense-matrix DBSCAN), the
+equivalence ground truth and benchmark baseline, is
+``tests/golden_stream.py``.
 """
 
 from repro.stream.detector import (

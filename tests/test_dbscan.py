@@ -187,7 +187,7 @@ class TestGridIndex:
 
 class TestChunkedKDistances:
     def test_chunked_matches_unchunked(self):
-        from repro.stream.golden import golden_k_distances
+        from tests.golden_stream import golden_k_distances
 
         pts = two_blobs(n=50, seed=6)
         golden = golden_k_distances(pts, 3)

@@ -5,7 +5,7 @@ The load-bearing suite here is :class:`TestExactEquivalence`: in
 output — mask, regions, selected attributes, ε — to running the batch
 :class:`AnomalyDetector` from scratch on every shared window of seeded
 scenario runs, and both must match the frozen seed implementations in
-``repro.stream.golden``.
+``tests.golden_stream``.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.stream import (
     StreamingDetector,
     StreamingDiagnoser,
 )
-from repro.stream.golden import GoldenAnomalyDetector
+from tests.golden_stream import GoldenAnomalyDetector
 
 
 # ---------------------------------------------------------------------------
