@@ -243,10 +243,11 @@ class DBSherlock:
         The per-anomaly result is **identical** to calling
         :meth:`explain` serially — this method only *seeds* the shared
         :class:`~repro.perf.cache.LabeledSpaceCache` first: the Section
-        4.3 filter, the Section 4.4 gap fill, and the θ-gate normalized
-        means for every job are computed in a handful of stacked numpy
-        passes (:mod:`repro.perf.batch`) whose outputs are bitwise-equal
-        to the serial functions, and published as cache entries.  The
+        4.2 labels, the Section 4.3 filter, the Section 4.4 gap fill, and
+        the θ-gate normalized means for every job are computed by calling
+        the same core kernels once over stacked rows (each kernel works
+        along the last axis, so a row of the stack is exactly the serial
+        call on that row), and published as cache entries.  The
         unchanged serial :meth:`explain` then runs per job and hits the
         cache everywhere, so a batch of K diagnoses costs a few kernels
         plus K cheap cache-hit walks instead of K full Algorithm 1 runs.
@@ -272,13 +273,18 @@ class DBSherlock:
         """Warm the labeled-space cache for *jobs* via batch kernels."""
         import numpy as np
 
-        from repro.core.partition import Label, NumericPartitionSpace
-        from repro.perf.batch import (
-            abnormal_blocks_batch,
-            fill_gaps_batch,
-            filter_partitions_batch,
-            normalize_columns_batch,
+        from repro.core.filtering import (
+            abnormal_blocks,
+            fill_gaps,
+            filter_partitions,
         )
+        from repro.core.partition import (
+            Label,
+            NumericPartitionSpace,
+            label_rows,
+            midpoint_rows,
+        )
+        from repro.core.separation import normalize_values
         from repro.perf.cache import LabeledAttribute
 
         n_partitions = self.config.n_partitions
@@ -368,9 +374,9 @@ class DBSherlock:
             # θ-gate means for every attribute in two masked reductions —
             # mean(axis=1) reduces each contiguous row with the exact
             # pairwise summation of the serial values[mask].mean()
-            big_norm = normalize_columns_batch(big)
-            big_mins = big.min(axis=1)
-            big_maxs = big.max(axis=1)
+            big_norm = normalize_values(big)
+            big_mins = big.min(axis=1).tolist()
+            big_maxs = big.max(axis=1).tolist()
             lanes: List[tuple] = []
             for j, (dataset, spec, numeric, _) in enumerate(group):
                 s = starts[j]
@@ -404,53 +410,30 @@ class DBSherlock:
                     if cached is not None:
                         collect(cached)
                     else:
+                        space = NumericPartitionSpace.from_stats(
+                            attr, big_mins[s + i], big_maxs[s + i],
+                            n_partitions,
+                        )
                         lanes.append(
-                            (job_entries, attr, s + i, abnormal, normal)
+                            (job_entries, space, s + i, abnormal, normal)
                         )
             if not lanes:
                 continue
-            # One Algorithm-1 labeling pass over every lane of the group —
-            # the same arithmetic as label_numeric_batch, with the per-job
-            # region masks expanded to lane rows so a single pair of
-            # offset bincounts serves the whole group.
-            rows = np.array([lane[2] for lane in lanes], dtype=np.intp)
-            stacked = big[rows]
-            abnormal_sel = np.stack([lane[3] for lane in lanes])
-            normal_sel = np.stack([lane[4] for lane in lanes])
-            mins = big_mins[rows]
-            maxs = big_maxs[rows]
-            spans = maxs - mins
-            nparts = np.where(spans > 0, grid, 1).astype(np.int64)
-            widths = spans / nparts
-            safe_widths = np.where(widths == 0.0, 1.0, widths)
-            with np.errstate(invalid="ignore"):
-                raw = np.floor((stacked - mins[:, None]) / safe_widths[:, None])
-            idx = np.clip(raw.astype(np.int64), 0, (nparts - 1)[:, None])
-            L = len(lanes)
-            offsets = (np.arange(L, dtype=np.int64) * grid)[:, None]
-            flat = idx + offsets
-            counts_abnormal = np.bincount(
-                flat[abnormal_sel], minlength=L * grid
-            ).reshape(L, grid)
-            counts_normal = np.bincount(
-                flat[normal_sel], minlength=L * grid
-            ).reshape(L, grid)
-            labels_grid = np.full((L, grid), int(Label.EMPTY), dtype=np.int64)
-            labels_grid[(counts_abnormal > 0) & (counts_normal == 0)] = int(
-                Label.ABNORMAL
+            # One Section 4.2 labeling pass over every lane of the group,
+            # with the per-job region masks expanded to lane rows.
+            spaces = [lane[1] for lane in lanes]
+            labels = label_rows(
+                big[[lane[2] for lane in lanes]],
+                [space.minimum for space in spaces],
+                [space.width for space in spaces],
+                [space.n_partitions for space in spaces],
+                np.stack([lane[3] for lane in lanes]),
+                np.stack([lane[4] for lane in lanes]),
+                grid=grid,
             )
-            labels_grid[(counts_normal > 0) & (counts_abnormal == 0)] = int(
-                Label.NORMAL
-            )
-            for j, (job_entries, attr, _row, _a, _n) in enumerate(lanes):
-                space = NumericPartitionSpace.from_stats(
-                    attr, mins[j], maxs[j], n_partitions
-                )
-                job_entries[attr] = LabeledAttribute(
-                    attr,
-                    True,
-                    space,
-                    labels_grid[j, : space.n_partitions].copy(),
+            for (job_entries, space, _, _, _), row in zip(lanes, labels):
+                job_entries[space.attr] = LabeledAttribute(
+                    space.attr, True, space, row[: space.n_partitions].copy()
                 )
         # One grouped-by-shard publication per job instead of two lock
         # round-trips per (attribute, table) key.
@@ -465,34 +448,28 @@ class DBSherlock:
             )
             for entry in winners.values():
                 collect(entry)
-        abnormal_label = int(Label.ABNORMAL)
-        normal_label = int(Label.NORMAL)
         unfiltered = [
             e for e in numeric_entries if e._labels_filtered is None
         ]
         if unfiltered:
-            filtered = filter_partitions_batch(
+            filtered = filter_partitions(
                 np.stack([e.labels_initial for e in unfiltered])
             )
-            # Also seed the derived forms the ranking path asks for:
-            # partition representatives, row-vectorized with the exact
-            # serial association order (minimum + i*width) + width/2 of
-            # NumericPartitionSpace.midpoints, and the filtered
-            # Abnormal/Normal region views built from them.
-            mins_f = np.array([e.space.minimum for e in unfiltered])
-            widths_f = np.array([e.space.width for e in unfiltered])
-            reps_all = (
-                mins_f[:, None]
-                + np.arange(grid, dtype=np.float64)[None, :]
-                * widths_f[:, None]
-            ) + widths_f[:, None] / 2.0
+            # Also seed the derived forms the ranking path asks for: the
+            # partition representatives and the filtered Abnormal/Normal
+            # region views built from them.
+            reps_all = midpoint_rows(
+                [e.space.minimum for e in unfiltered],
+                [e.space.width for e in unfiltered],
+                grid,
+            )
             # One nonzero over the whole matrix; np.split hands each row
             # its ascending column indices — the same values flatnonzero
             # yields per row.
             cuts = np.arange(1, len(unfiltered))
-            ab_rows, ab_cols = np.nonzero(filtered == abnormal_label)
+            ab_rows, ab_cols = np.nonzero(filtered == int(Label.ABNORMAL))
             ab_split = np.split(ab_cols, np.searchsorted(ab_rows, cuts))
-            no_rows, no_cols = np.nonzero(filtered == normal_label)
+            no_rows, no_cols = np.nonzero(filtered == int(Label.NORMAL))
             no_split = np.split(no_cols, np.searchsorted(no_rows, cuts))
             for entry, row, reps, ab_idx, no_idx in zip(
                 unfiltered, filtered, reps_all, ab_split, no_split
@@ -525,10 +502,10 @@ class DBSherlock:
             if entry.region_partitions(apply_filtering=True) is not None:
                 fill_todo.append(entry)
         if fill_todo:
-            filled = fill_gaps_batch(
+            filled = fill_gaps(
                 np.stack([e.filtered_labels() for e in fill_todo]), delta
             )
-            blocks = abnormal_blocks_batch(filled)
+            blocks = abnormal_blocks(filled)
             for entry, filled_row, block_row in zip(
                 fill_todo, filled, blocks
             ):

@@ -241,16 +241,8 @@ class Dataset:
         NaN cells (degraded telemetry) are excluded from the range and
         stay NaN in the output.
         """
-        values = self.column(attr)
+        from repro.core.separation import normalize_values
+
         if not self.is_numeric(attr):
             raise TypeError(f"attribute {attr!r} is categorical")
-        if np.isnan(values).any():
-            from repro.core.separation import normalize_values
-
-            return normalize_values(values)
-        lo = float(np.min(values)) if values.size else 0.0
-        hi = float(np.max(values)) if values.size else 0.0
-        span = hi - lo
-        if span <= 0:
-            return np.zeros_like(values)
-        return (values - lo) / span
+        return normalize_values(self.column(attr))

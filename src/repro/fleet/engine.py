@@ -342,9 +342,6 @@ class FleetDetector:
         self._poison_checkpoints.pop(s, None)
         self._poison_errors.pop(s, None)
 
-    def poison_reason(self, stream: int) -> Optional[str]:
-        return self._poison_errors.get(int(stream))
-
     # ------------------------------------------------------------------
     @property
     def n_streams(self) -> int:

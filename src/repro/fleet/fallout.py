@@ -87,9 +87,7 @@ def cluster_windows_batch(
         if n == 0 or not selected:
             results[i] = cluster_window(batch, window, selected)
             continue
-        raw = np.empty((n, len(selected)))
-        for j, attr in enumerate(selected):
-            raw[:, j] = window.column(attr)
+        raw = np.stack([window.column(attr) for attr in selected])
         if bool(np.isnan(raw).any()) or not bool(np.all(np.diff(ts) > 0)):
             results[i] = cluster_window(batch, window, selected)
             continue
@@ -98,18 +96,13 @@ def cluster_windows_batch(
         groups.setdefault((n, len(selected)), []).append(i)
 
     for (n, _k), members in groups.items():
-        raw3 = np.stack([raws[i] for i in members])  # (G, n, k)
+        raw3 = np.stack([raws[i] for i in members])  # (G, k, n)
         ts2 = np.stack([stamps[i] for i in members])  # (G, n)
-        # per-lane min/max scaling: the exact (v - lo) / span expression
-        # of normalize_values; constant lanes (span <= 0) become zeros
-        mins = raw3.min(axis=1)
-        maxs = raw3.max(axis=1)
-        spans = maxs - mins
-        degenerate = spans <= 0
-        safe = np.where(degenerate, 1.0, spans)
-        norm = (raw3 - mins[:, None, :]) / safe[:, None, :]
-        if bool(degenerate.any()):
-            norm[np.broadcast_to(degenerate[:, None, :], norm.shape)] = 0.0
+        # every lane's columns scaled by one normalize_values call, then
+        # laid out row-major as the (G, n, k) points the serial path sees
+        norm = np.ascontiguousarray(
+            normalize_values(raw3).transpose(0, 2, 1)
+        )
 
         labels, eps = dbscan_labels_batch(norm, batch.min_pts)
         n_lanes = len(members)

@@ -1,18 +1,12 @@
-"""Batched numeric labeling: one stacked bincount pass for all attributes.
+"""Batched numeric labeling: every attribute of a dataset in one pass.
 
-Algorithm 1 labels each numeric attribute's partitions independently; done
-one attribute at a time that is hundreds of (cheap) numpy calls per
+Algorithm 1 labels each numeric attribute's partitions independently;
+done one attribute at a time that is hundreds of (cheap) numpy calls per
 dataset.  Here all numeric columns are stacked into one
-``(n_attrs, n_rows)`` float64 matrix, per-column partition indices are
-computed in one vectorized expression, and the abnormal/normal partition
-counts for *every* attribute come from a single offset ``np.bincount``
-call per region (column ``j`` owns the index range
-``[j*R, (j+1)*R)`` of the flattened count vector).
-
-Bitwise identity with the serial path is load-bearing (the golden-output
-tests assert it): the per-element float operations are exactly those of
-:meth:`NumericPartitionSpace.partition_indices`, and min/max/bincount are
-exact regardless of evaluation order.
+``(n_attrs, n_rows)`` float64 matrix and labeled by a single
+:func:`repro.core.partition.label_rows` call, the same Section 4.2
+kernel :meth:`NumericPartitionSpace.label` runs on one row — so each
+attribute's labels are those of the serial path by construction.
 """
 
 from __future__ import annotations
@@ -22,52 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "abnormal_blocks_batch",
-    "fill_gaps_batch",
-    "filter_partitions_batch",
-    "label_numeric_batch",
-    "normalize_columns_batch",
-    "potential_power_batch",
-]
-
-
-def potential_power_batch(matrix: np.ndarray, window: int) -> np.ndarray:
-    """Equation 4 for many attributes (and many streams) at once.
-
-    *matrix* is ``(..., n_rows)`` — any number of leading axes over a
-    trailing sample axis, each lane already normalized to [0, 1].  The
-    single-stream caller passes ``(n_attrs, n_rows)``; the fleet engine
-    passes the whole arena as ``(n_streams, n_attrs, n_rows)``.  Returns
-    the potential power with the trailing axis reduced away.  The
-    sliding windows are materialized as one ``(..., n_windows, w)``
-    stride-tricks view and their medians taken in a single
-    ``np.median(axis=-1)`` call, so the result is bitwise-identical to
-    calling the scalar :func:`repro.core.anomaly.potential_power` on
-    each lane (same window elements, same median reduction) — and
-    independent of how lanes are stacked.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim < 2:
-        raise ValueError("matrix must be (..., n_rows) with ndim >= 2")
-    lead = matrix.shape[:-1]
-    n = matrix.shape[-1]
-    if 0 in lead or n == 0:
-        return np.zeros(lead)
-    window = max(min(int(window), n), 1)
-    windows = np.lib.stride_tricks.sliding_window_view(matrix, window, axis=-1)
-    if np.isnan(matrix).any():
-        # degraded telemetry: medians over the valid samples only; windows
-        # (or attributes) with no valid samples contribute zero power.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            overall = np.nanmedian(matrix, axis=-1)
-            locals_ = np.nanmedian(windows, axis=-1)
-            powers = np.nanmax(np.abs(overall[..., None] - locals_), axis=-1)
-        return np.nan_to_num(powers, nan=0.0)
-    overall = np.median(matrix, axis=-1)
-    locals_ = np.median(windows, axis=-1)
-    return np.max(np.abs(overall[..., None] - locals_), axis=-1)
+__all__ = ["label_numeric_batch"]
 
 
 def label_numeric_batch(
@@ -83,7 +32,7 @@ def label_numeric_batch(
     are bitwise-identical to ``space = NumericPartitionSpace(attr, values,
     n_partitions); space.label(values, abnormal_mask, normal_mask)``.
     """
-    from repro.core.partition import Label, NumericPartitionSpace
+    from repro.core import partition
 
     attrs = list(attrs)
     if not attrs:
@@ -92,231 +41,30 @@ def label_numeric_batch(
         raise ValueError("n_partitions must be at least 1")
 
     matrix = np.stack([dataset.column(a) for a in attrs], axis=0)
-    n_attrs = matrix.shape[0]
-    nan = np.isnan(matrix)
-    has_nan = bool(nan.any())
-    if has_nan:
+    if np.isnan(matrix).any():
         # degraded telemetry: min/max over the valid cells per attribute;
         # an all-NaN attribute degrades to a neutral constant space.
-        mins = np.where(nan, np.inf, matrix).min(axis=1)
-        maxs = np.where(nan, -np.inf, matrix).max(axis=1)
-        all_nan = ~np.isfinite(mins)
-        mins = np.where(all_nan, 0.0, mins)
-        maxs = np.where(all_nan, 0.0, maxs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mins = np.nanmin(matrix, axis=1)
+            maxs = np.nanmax(matrix, axis=1)
     else:
         mins = matrix.min(axis=1)
         maxs = matrix.max(axis=1)
-    spans = maxs - mins
-    grid = int(n_partitions)
-    # Constant columns collapse to a single partition (width 0, index 0);
-    # the division guard keeps their indices at exactly 0.
-    nparts = np.where(spans > 0, grid, 1).astype(np.int64)
-    widths = spans / nparts
-    safe_widths = np.where(widths == 0.0, 1.0, widths)
-    with np.errstate(invalid="ignore"):
-        raw = np.floor((matrix - mins[:, None]) / safe_widths[:, None])
-    if has_nan:
-        raw = np.where(nan, 0.0, raw)
-    idx = np.clip(raw.astype(np.int64), 0, (nparts - 1)[:, None])
-
-    offsets = (np.arange(n_attrs, dtype=np.int64) * grid)[:, None]
-    flat = idx + offsets
-    if has_nan:
-        # NaN cells belong to no partition: drop them from both counts
-        valid = ~nan
-        counts_abnormal = np.bincount(
-            flat[:, abnormal_mask][valid[:, abnormal_mask]],
-            minlength=n_attrs * grid,
-        ).reshape(n_attrs, grid)
-        counts_normal = np.bincount(
-            flat[:, normal_mask][valid[:, normal_mask]],
-            minlength=n_attrs * grid,
-        ).reshape(n_attrs, grid)
-    else:
-        counts_abnormal = np.bincount(
-            flat[:, abnormal_mask].ravel(), minlength=n_attrs * grid
-        ).reshape(n_attrs, grid)
-        counts_normal = np.bincount(
-            flat[:, normal_mask].ravel(), minlength=n_attrs * grid
-        ).reshape(n_attrs, grid)
-
-    labels_grid = np.full((n_attrs, grid), int(Label.EMPTY), dtype=np.int64)
-    labels_grid[(counts_abnormal > 0) & (counts_normal == 0)] = int(
-        Label.ABNORMAL
+    spaces = [
+        partition.NumericPartitionSpace.from_stats(attr, lo, hi, n_partitions)
+        for attr, lo, hi in zip(attrs, mins.tolist(), maxs.tolist())
+    ]
+    labels = partition.label_rows(
+        matrix,
+        [space.minimum for space in spaces],
+        [space.width for space in spaces],
+        [space.n_partitions for space in spaces],
+        abnormal_mask,
+        normal_mask,
+        grid=int(n_partitions),
     )
-    labels_grid[(counts_normal > 0) & (counts_abnormal == 0)] = int(
-        Label.NORMAL
-    )
-
-    out: Dict[str, Tuple[object, np.ndarray]] = {}
-    for j, attr in enumerate(attrs):
-        space = NumericPartitionSpace.from_stats(
-            attr, mins[j], maxs[j], n_partitions
-        )
-        out[attr] = (space, labels_grid[j, : space.n_partitions].copy())
-    return out
-
-
-def _nearest_non_empty_rows(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-batched :func:`repro.core.filtering._nearest_non_empty`.
-
-    *labels* is ``(n_rows, n_partitions)``; returns ``(left, right)`` of
-    the same shape with -1 where no non-Empty partition exists on that
-    side.  Prefix max / suffix min scans along axis 1 — integer ops, so
-    each row is exactly the serial scan.
-    """
-    from repro.core.partition import Label
-
-    m, n = labels.shape
-    nonempty = labels != int(Label.EMPTY)
-    idx = np.arange(n, dtype=np.int64)
-    last = np.where(nonempty, idx[None, :], -1)
-    left = np.empty((m, n), dtype=np.int64)
-    left[:, 0] = -1
-    if n > 1:
-        left[:, 1:] = np.maximum.accumulate(last, axis=1)[:, :-1]
-    nxt = np.where(nonempty, idx[None, :], n)
-    right = np.empty((m, n), dtype=np.int64)
-    right[:, -1] = -1
-    if n > 1:
-        right[:, :-1] = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        right[right == n] = -1
-    return left, right
-
-
-def filter_partitions_batch(labels: np.ndarray) -> np.ndarray:
-    """Section 4.3 filtering for many label rows at once.
-
-    *labels* is ``(n_rows, n_partitions)``; row ``i`` of the result is
-    bitwise-identical to ``filter_partitions(labels[i])`` — same
-    neighbour scans, same lone-label exemptions, all integer ops.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    result = labels.copy()
-    if 0 in labels.shape:
-        return result
-    left, right = _nearest_non_empty_rows(labels)
-    is_abnormal = labels == int(Label.ABNORMAL)
-    is_normal = labels == int(Label.NORMAL)
-    eligible = (labels != int(Label.EMPTY)) & (left >= 0) & (right >= 0)
-    lone_abnormal = is_abnormal.sum(axis=1) == 1
-    eligible &= ~(lone_abnormal[:, None] & is_abnormal)
-    lone_normal = is_normal.sum(axis=1) == 1
-    eligible &= ~(lone_normal[:, None] & is_normal)
-    left_label = np.take_along_axis(labels, np.clip(left, 0, None), axis=1)
-    right_label = np.take_along_axis(labels, np.clip(right, 0, None), axis=1)
-    disagree = (left_label != labels) | (right_label != labels)
-    result[eligible & disagree] = int(Label.EMPTY)
-    return result
-
-
-def fill_gaps_batch(labels: np.ndarray, delta: float) -> np.ndarray:
-    """Section 4.4 gap filling for many label rows at once.
-
-    Row ``i`` of the result is bitwise-identical to
-    ``fill_gaps(labels[i], delta)``.  Rows where only Abnormal labels
-    remain need a ``normal_mean_partition`` and must be handled by the
-    serial path — passing one raises, exactly like the serial function.
-    Rows with no non-Empty partitions at all pass through unchanged.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    filled = labels.copy()
-    if 0 in labels.shape:
-        return filled
-    has_abnormal = (labels == int(Label.ABNORMAL)).any(axis=1)
-    has_normal = (labels == int(Label.NORMAL)).any(axis=1)
-    if bool((has_abnormal & ~has_normal).any()):
-        raise ValueError(
-            "only Abnormal partitions remain; normal_mean_partition required"
-        )
-    # Rows with neither label present stay unchanged: every cell is Empty,
-    # so left/right are -1 everywhere and no branch below touches them.
-    left, right = _nearest_non_empty_rows(labels)
-    empty = labels == int(Label.EMPTY)
-    left_label = np.take_along_axis(labels, np.clip(left, 0, None), axis=1)
-    right_label = np.take_along_axis(labels, np.clip(right, 0, None), axis=1)
-
-    only_left = empty & (left >= 0) & (right < 0)
-    filled[only_left] = left_label[only_left]
-    only_right = empty & (left < 0) & (right >= 0)
-    filled[only_right] = right_label[only_right]
-
-    both = empty & (left >= 0) & (right >= 0)
-    agree = both & (left_label == right_label)
-    filled[agree] = left_label[agree]
-
-    idx = np.arange(labels.shape[1], dtype=np.int64)
-    dist_left = (idx[None, :] - left).astype(np.float64)
-    dist_right = (right - idx[None, :]).astype(np.float64)
-    left_is_abnormal = left_label == int(Label.ABNORMAL)
-    dist_abnormal = np.where(left_is_abnormal, dist_left, dist_right)
-    dist_normal = np.where(left_is_abnormal, dist_right, dist_left)
-    abnormal_label = np.where(left_is_abnormal, left_label, right_label)
-    normal_label = np.where(left_is_abnormal, right_label, left_label)
-    chosen = np.where(
-        dist_abnormal * delta < dist_normal, abnormal_label, normal_label
-    )
-    disagree = both & (left_label != right_label)
-    filled[disagree] = chosen[disagree]
-    return filled
-
-
-def abnormal_blocks_batch(labels: np.ndarray) -> list:
-    """Per-row contiguous Abnormal runs, matching ``abnormal_blocks``.
-
-    Returns a list of ``n_rows`` lists of ``(start, end)`` int tuples.
-    One padded ``np.diff`` + ``np.nonzero`` finds every run edge; the
-    row-major order of ``np.nonzero`` pairs the k-th start of a row with
-    its k-th end.
-    """
-    from repro.core.partition import Label
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be (n_rows, n_partitions)")
-    m, n = labels.shape
-    blocks: list = [[] for _ in range(m)]
-    if m == 0 or n == 0:
-        return blocks
-    padded = np.zeros((m, n + 2), dtype=np.int8)
-    padded[:, 1:-1] = labels == int(Label.ABNORMAL)
-    edges = np.diff(padded, axis=1)
-    row_s, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1] - 1
-    for r, s, e in zip(row_s.tolist(), starts.tolist(), ends.tolist()):
-        blocks[r].append((s, e))
-    return blocks
-
-
-def normalize_columns_batch(matrix: np.ndarray) -> np.ndarray:
-    """Row-batched :func:`repro.core.separation.normalize_values`.
-
-    *matrix* is ``(n_attrs, n_rows)`` and must be NaN-free (callers fall
-    back to the serial function for degraded columns).  Each row is
-    min/max-scaled with the exact elementwise ``(v - lo) / span``
-    expression of the serial path; constant rows (span <= 0) become
-    zeros.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be (n_attrs, n_rows)")
-    if 0 in matrix.shape:
-        return matrix.copy()
-    mins = matrix.min(axis=1)
-    maxs = matrix.max(axis=1)
-    spans = maxs - mins
-    degenerate = spans <= 0
-    safe = np.where(degenerate, 1.0, spans)
-    normalized = (matrix - mins[:, None]) / safe[:, None]
-    normalized[degenerate] = 0.0
-    return normalized
+    return {
+        space.attr: (space, labels[j, : space.n_partitions].copy())
+        for j, space in enumerate(spaces)
+    }

@@ -494,25 +494,15 @@ class LabeledSpaceCache:
             self._shard_of(key), "entries", token, key, entry
         )
 
-    def peek_entry(
-        self, dataset, spec, attr: str, n_partitions: int
-    ) -> Optional[LabeledAttribute]:
-        """Lock-free lookup that counts neither a hit nor a miss.
-
-        Batch seeding (:meth:`repro.core.explain.DBSherlock._seed_batch`)
-        uses this to decide which lanes still need labeling without
-        skewing the hit/miss statistics the serial path will produce.
-        """
-        key = (id(dataset), _spec_key(spec), attr, int(n_partitions))
-        return self._shard_of(key).entries.get(key)
-
     def peek_entries(
         self, dataset, spec, attrs: Sequence[str], n_partitions: int
     ) -> Dict[str, LabeledAttribute]:
-        """Bulk :meth:`peek_entry`: the subset of *attrs* already cached.
+        """Lock-free lookup of the subset of *attrs* already cached.
 
-        One key prefix is built for the whole call; like ``peek_entry``
-        this is lock-free and counts neither hits nor misses.
+        Batch seeding (:meth:`repro.core.explain.DBSherlock._seed_batch`)
+        uses this to decide which lanes still need labeling without
+        skewing the hit/miss statistics the serial path will produce, so
+        it counts neither hits nor misses.
         """
         token = id(dataset)
         skey = _spec_key(spec)
@@ -546,19 +536,6 @@ class LabeledSpaceCache:
                 found[attr] = means
         return found
 
-    def seed_entry(
-        self, dataset, spec, attr: str, n_partitions: int, entry: LabeledAttribute
-    ) -> LabeledAttribute:
-        """Pre-publish a :class:`LabeledAttribute` from a batch kernel.
-
-        *entry* must be bitwise-identical to what :meth:`entries` would
-        compute for the same key.  First writer wins — the returned entry
-        is the table's, which may be an earlier concurrent publication.
-        Counts neither a hit nor a miss.
-        """
-        token = self._token(dataset)
-        return self._store(token, _spec_key(spec), attr, n_partitions, entry)
-
     def seed_job(
         self,
         dataset,
@@ -574,8 +551,10 @@ class LabeledSpaceCache:
         seeds many attributes per ``(dataset, spec)``; publishing them
         key-by-key costs two lock round-trips each.  This groups the
         whole job by shard — one lock acquisition per touched shard plus
-        one registration pass.  First writer wins per key, exactly like
-        :meth:`seed_entry`; returns the winning labeled entries keyed by
+        one registration pass.  Every value must be bitwise-identical to
+        what :meth:`entries` / :meth:`normalized_means` would compute for
+        the same key.  First writer wins per key, exactly like the serial
+        path's publication; returns the winning labeled entries keyed by
         attribute.  Counts neither hits nor misses.  *masks* optionally
         seeds the job's ``(abnormal, normal)`` row masks.
         """
@@ -628,23 +607,6 @@ class LabeledSpaceCache:
                     with shard.lock:
                         getattr(shard, table).pop(key, None)
         return winners
-
-    def seed_normalized_means(
-        self, dataset, spec, attr: str, means: Tuple[float, float]
-    ) -> None:
-        """Pre-publish a normalized-means pair computed by a batch kernel.
-
-        Used by :meth:`repro.core.explain.DBSherlock.explain_batch` to
-        warm the θ-gate statistics for a whole diagnosis batch in one
-        vectorized pass; *means* must equal what
-        :meth:`normalized_means` would compute.  Counts neither a hit
-        nor a miss.
-        """
-        token = self._token(dataset)
-        key = (token, _spec_key(spec), attr)
-        shard = self._shard_of(key)
-        if shard.norm_means.get(key) is None:
-            self._publish(shard, "norm_means", token, key, tuple(means))
 
     def normalized_means(
         self, dataset, spec, attr: str

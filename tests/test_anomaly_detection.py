@@ -10,7 +10,7 @@ from repro.core.anomaly import (
 )
 from repro.core.separation import normalize_values
 from repro.data.dataset import Dataset
-from repro.perf.batch import potential_power_batch
+from tests.golden_stream import golden_potential_power
 
 
 def step_series(n=200, start=100, width=40, lo=0.0, hi=1.0, noise=0.0, seed=0):
@@ -193,6 +193,8 @@ class TestDetection:
 
 
 class TestPotentialPowerBatch:
+    """Stacked lanes: each row's power equals the seed loop on that row."""
+
     def test_matches_scalar_on_random_series(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -202,14 +204,16 @@ class TestPotentialPowerBatch:
             matrix = np.vstack(
                 [normalize_values(row)[None, :] for row in matrix]
             )
-            batch = potential_power_batch(matrix, window)
+            batch = potential_power(matrix, window)
             for i, row in enumerate(matrix):
                 assert batch[i] == potential_power(row, window)
+                assert batch[i] == golden_potential_power(row, window)
 
     def test_matches_scalar_on_step(self):
         values = normalize_values(step_series())
-        batch = potential_power_batch(values[None, :], 20)
+        batch = potential_power(values[None, :], 20)
         assert batch[0] == potential_power(values, window=20)
+        assert batch[0] == golden_potential_power(values, window=20)
 
     def test_empty_matrix(self):
-        assert potential_power_batch(np.zeros((0, 50)), 10).shape == (0,)
+        assert potential_power(np.zeros((0, 50)), 10).shape == (0,)

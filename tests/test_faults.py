@@ -27,7 +27,8 @@ from repro.faults import (
     SpikeCorruption,
     StuckAtCounter,
 )
-from repro.perf.batch import label_numeric_batch, potential_power_batch
+from repro.perf.batch import label_numeric_batch
+from tests.golden_perf import golden_label
 
 
 def make_dataset(n=120, seed=3, name="clean"):
@@ -275,6 +276,21 @@ class TestInjectors:
 # ---------------------------------------------------------------------------
 # degraded-telemetry hardening in the core pipeline
 # ---------------------------------------------------------------------------
+def _naive_nan_power(values, window):
+    """Equation 4 over valid samples, one window at a time (no oracle
+    exists for degraded input): windows without a valid sample are
+    skipped, and no valid window at all means zero power."""
+    overall = np.median(values[~np.isnan(values)])
+    best = None
+    for start in range(values.shape[0] - window + 1):
+        chunk = values[start : start + window]
+        chunk = chunk[~np.isnan(chunk)]
+        if chunk.size:
+            gap = abs(overall - np.median(chunk))
+            best = gap if best is None else max(best, gap)
+    return 0.0 if best is None else float(best)
+
+
 class TestNaNHardening:
     def make_spec(self):
         return RegionSpec.from_bounds([(60.0, 90.0)])
@@ -301,9 +317,11 @@ class TestNaNHardening:
         for attr in attrs:
             space = NumericPartitionSpace.from_dataset(ds, attr, 250)
             serial = space.label(ds.column(attr), abnormal, normal)
+            seed = golden_label(space, ds.column(attr), abnormal, normal)
             b_space, b_labels = batch[attr]
             assert b_space.n_partitions == space.n_partitions
             assert np.array_equal(serial, b_labels), attr
+            assert np.array_equal(seed, b_labels), attr
 
     def test_batch_potential_power_matches_serial_with_nan(self):
         ds = FaultPlan([NaNValues(0.08)], seed=12).apply(make_dataset())
@@ -311,10 +329,11 @@ class TestNaNHardening:
         matrix = np.stack(
             [normalize_values(ds.column(a)) for a in attrs], axis=0
         )
-        batch = potential_power_batch(matrix, window=20)
+        batch = potential_power(matrix, window=20)
         for j, attr in enumerate(attrs):
             serial = potential_power(matrix[j], window=20)
             assert batch[j] == serial, attr
+            assert batch[j] == _naive_nan_power(matrix[j], window=20), attr
 
     def test_all_nan_column_yields_neutral_space(self):
         values = np.full(50, np.nan)
