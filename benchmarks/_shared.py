@@ -15,6 +15,7 @@ doubles as the experiment log for EXPERIMENTS.md.
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,22 @@ SINGLE_THETA = 0.2
 MERGED_THETA = 0.05
 
 SUITE_SEED = 2016  # the paper's publication year, for determinism
+
+
+def results_path(name: str, scale: str) -> Path:
+    """Where a bench run at *scale* writes its results file *name*.
+
+    Only a ``bench``-scale run replaces the recorded ``BENCH_*.json`` at
+    the repo root; smoke scales write ``bench_out/<name>`` (ignored by
+    git, uploaded by CI), so a local smoke run never overwrites a
+    recorded result.
+    """
+    root = Path(__file__).resolve().parents[1]
+    if scale == "bench":
+        return root / name
+    out = root / "bench_out"
+    out.mkdir(exist_ok=True)
+    return out / name
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,8 @@ Two legs, both asserted before any number is reported:
   generator predicates (whether the *automatic* detector flags the step
   is reported, not asserted).
 
-Results land in ``BENCH_chaos.json`` at the repo root.
+Results land in ``BENCH_chaos.json`` at the repo root (``bench_out/``
+below bench scale).
 
 Run standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
@@ -54,6 +55,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_chaos.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.eval.chaos import PROFILES, run_chaos_suite  # noqa: E402
 from repro.eval.harness import replay_rows, simulate_run  # noqa: E402
 from repro.faults import CollectorCrash, FaultPlan  # noqa: E402
@@ -280,7 +282,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
     }
 
     if write_json:
-        out = _REPO_ROOT / "BENCH_chaos.json"
+        out = results_path("BENCH_chaos.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

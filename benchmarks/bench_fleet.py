@@ -36,7 +36,8 @@ Two storm legs ride along (the anomaly-storm tentpole):
   at ``diagnose_jobs=1`` and ``diagnose_jobs=8``; the throughput ratio
   (fused cross-job batching + sharded labeled-space cache) is asserted.
 
-Results land in ``BENCH_fleet.json`` at the repo root.  Run standalone
+Results land in ``BENCH_fleet.json`` at the repo root (``bench_out/``
+below bench scale).  Run standalone
 (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale, >= 200 tenants):
 
     python benchmarks/bench_fleet.py [--storm-fraction 1.0]
@@ -59,6 +60,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_fleet.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.core.explain import DBSherlock  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
 from repro.data.regions import Region, RegionSpec  # noqa: E402
@@ -287,7 +289,7 @@ def run_bench(
     summary["storm"] = run_storm(scale, storm_fraction)
     summary["diagnosis_scaling"] = run_diagnosis_scaling(scale)
     if write_json:
-        out = _REPO_ROOT / "BENCH_fleet.json"
+        out = results_path("BENCH_fleet.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

@@ -26,7 +26,8 @@ the containment contract the robustness tentpole claims:
   report must name *exactly* that tenant as corrupt while every other
   durable tenant restores bitwise and replays its WAL tail.
 
-Results land in ``BENCH_fleet_chaos.json`` at the repo root.  Run
+Results land in ``BENCH_fleet_chaos.json`` at the repo root
+(``bench_out/`` below bench scale).  Run
 standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
     python benchmarks/bench_fleet_chaos.py
@@ -51,6 +52,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_fleet_chaos.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.core.explain import DBSherlock  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
 from repro.data.regions import Region, RegionSpec  # noqa: E402
@@ -514,7 +516,7 @@ def run_chaos_bench(scale: str = "bench", write_json: bool = True) -> dict:
         "breaker_drill": run_breaker_drill(),
     }
     if write_json:
-        out = _REPO_ROOT / "BENCH_fleet_chaos.json"
+        out = results_path("BENCH_fleet_chaos.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

@@ -22,7 +22,8 @@ Three legs, one contract per leg:
   per-tenant cap and global disk budget (overshoot bounded by one
   bundle), with suppressed snapshots counted, not dropped silently.
 
-Results land in ``BENCH_obs_fleet.json`` at the repo root.  Run
+Results land in ``BENCH_obs_fleet.json`` at the repo root
+(``bench_out/`` below bench scale).  Run
 standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
     python benchmarks/bench_obs_fleet.py
@@ -48,6 +49,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_obs_fleet.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
 from repro.core.explain import DBSherlock  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
@@ -604,7 +606,7 @@ def run_bench(
     metrics.REGISTRY.reset()
     summary["wall_s"] = round(time.perf_counter() - t0, 2)
     if write_json:
-        out = _REPO_ROOT / "BENCH_obs_fleet.json"
+        out = results_path("BENCH_obs_fleet.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

@@ -12,7 +12,8 @@ ranking with the shared labeled-space cache — the same sweep
   installed, full span trees recorded: must stay within **10 %**.
 
 All three modes are asserted to produce identical ranking scores before
-any number is reported; results land in ``BENCH_obs_overhead.json``.
+any number is reported; results land in ``BENCH_obs_overhead.json``
+at the repo root (``bench_out/`` below bench scale).
 
 Run standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
@@ -34,6 +35,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_obs_overhead.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.anomalies.library import ANOMALY_CAUSES  # noqa: E402
 from repro.core.causal import CausalModel  # noqa: E402
 from repro.core.generator import GeneratorConfig, PredicateGenerator  # noqa: E402
@@ -228,7 +230,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
         },
     }
     if write_json:
-        out = _REPO_ROOT / "BENCH_obs_overhead.json"
+        out = results_path("BENCH_obs_overhead.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

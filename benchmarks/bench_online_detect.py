@@ -17,7 +17,8 @@ Equivalence is asserted before any number is reported: ``stream_exact``
 must match ``batch_vectorized`` on every shared window (mask, regions,
 selected attributes, ε), and ``batch_vectorized`` must match
 ``batch_golden`` on every sampled window.  Per-tick latency percentiles
-and speedups land in ``BENCH_online_detect.json`` at the repo root.
+and speedups land in ``BENCH_online_detect.json`` at the repo root
+(``bench_out/`` below bench scale).
 
 Run standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
@@ -42,6 +43,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_online_detect.py`
 # the frozen seed copies live in the repository's tests/ package
 sys.path.insert(0, str(_REPO_ROOT))
 
+from _shared import results_path  # noqa: E402
 from repro.core.anomaly import AnomalyDetector  # noqa: E402
 from repro.eval.harness import replay_rows, simulate_run  # noqa: E402
 from repro.stream import StreamingDetector  # noqa: E402
@@ -183,7 +185,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
     }
 
     if write_json:
-        out = _REPO_ROOT / "BENCH_online_detect.json"
+        out = results_path("BENCH_online_detect.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

@@ -13,7 +13,8 @@ Fig. 7-style protocol over a 4-class suite:
 Also times Algorithm 1 predicate generation golden (per-attribute loop)
 vs batched (stacked offset-bincount labeling).  Every timed pass is
 asserted bitwise-identical to the golden output before any number is
-reported; results land in ``BENCH_perf_engine.json`` at the repo root.
+reported; results land in ``BENCH_perf_engine.json`` at the repo root
+(``bench_out/`` below bench scale).
 
 Run standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
@@ -36,6 +37,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_perf_engine.py`
 # the frozen seed copies live in the repository's tests/ package
 sys.path.insert(0, str(_REPO_ROOT))
 
+from _shared import results_path  # noqa: E402
 from repro.anomalies.library import ANOMALY_CAUSES  # noqa: E402
 from repro.core.causal import CausalModel  # noqa: E402
 from repro.core.generator import GeneratorConfig, PredicateGenerator  # noqa: E402
@@ -231,7 +233,7 @@ def run_bench(scale: str = "bench", write_json: bool = True) -> dict:
     }
 
     if write_json:
-        out = _REPO_ROOT / "BENCH_perf_engine.json"
+        out = results_path("BENCH_perf_engine.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

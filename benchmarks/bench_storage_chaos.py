@@ -32,7 +32,8 @@ the durability contract the storage tentpole claims, in four legs:
   tail the retention mark kept for exactly this case, and restore the
   victims *bitwise* equal to their pre-crash state.
 
-Results land in ``BENCH_storage_chaos.json`` at the repo root.  Run
+Results land in ``BENCH_storage_chaos.json`` at the repo root
+(``bench_out/`` below bench scale).  Run
 standalone (``PERF_BENCH_SCALE=tiny`` is the CI smoke scale):
 
     python benchmarks/bench_storage_chaos.py
@@ -58,6 +59,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # allow `python benchmarks/bench_storage_chaos.py`
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
+from _shared import results_path  # noqa: E402
 from repro.eval.chaos import STORAGE_PROFILES  # noqa: E402
 from repro.faults import (  # noqa: E402
     CorruptTenantState,
@@ -566,7 +568,7 @@ def run_storage_bench(scale: str = "bench", write_json: bool = True) -> dict:
         "generation_fallback": run_generation_fallback(scale),
     }
     if write_json:
-        out = _REPO_ROOT / "BENCH_storage_chaos.json"
+        out = results_path("BENCH_storage_chaos.json", scale)
         out.write_text(json.dumps(summary, indent=2) + "\n")
         summary["json"] = str(out)
     return summary

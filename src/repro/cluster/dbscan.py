@@ -5,25 +5,22 @@ telemetry points with DBSCAN, fixing ``minPts = 3`` and deriving ``ε`` from
 the k-dist curve: ``ε = max(Lk) / 4`` where ``Lk`` lists each point's
 distance to its k-th nearest neighbour.
 
-The fit path is built for the streaming engine's always-on re-clustering:
+A fit takes ``ε`` from :func:`k_distances` (the k-th order statistic of
+each row of the dense distance matrix, by ``np.partition``) and its
+ε-neighbour lists from one dense matrix; cluster expansion is then a
+vectorized BFS that labels, visits and expands the whole frontier with
+array operations instead of a per-point ``deque`` walk.  A matrix is
+O(n²) floats — 18 MB at the 1,500 rows of the longest run any bench
+builds.
 
-* ``k_distances`` evaluates the distance matrix in row chunks (no dense
-  O(n²) materialization) and extracts the k-th column with
-  ``np.partition``;
-* neighbourhoods come from a uniform-grid index with cell size ε over the
-  highest-spread dimensions — each cell's points are compared only against
-  the 3^g adjacent cells, block by block;
-* cluster expansion is a vectorized BFS: the whole frontier is labeled,
-  visited, and expanded with array operations instead of a per-point
-  ``deque`` walk.
-
-The dense path is kept (``index="dense"``) as the equivalence baseline;
-``index="auto"`` switches to the grid above ``_GRID_MIN_POINTS`` points.
+:func:`dbscan_labels_batch` clusters a stack of equal-sized point sets
+(the fleet's fallout windows) with the same arithmetic over the leading
+axis and bitwise-equal output; the serial BFS is its reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,9 +28,6 @@ from repro.obs import metrics
 
 __all__ = ["DBSCAN", "NOISE", "dbscan_labels_batch", "k_distances"]
 
-_GRID_FITS = metrics.REGISTRY.counter(
-    "repro_dbscan_grid_fits_total", "DBSCAN fits served by the grid index"
-)
 _DENSE_FITS = metrics.REGISTRY.counter(
     "repro_dbscan_dense_fits_total",
     "DBSCAN fits served by the dense distance matrix",
@@ -49,117 +43,63 @@ _BATCH_FITS = metrics.REGISTRY.counter(
 #: Cluster id assigned to noise points.
 NOISE = -1
 
-#: Row-chunk size for blocked distance evaluation (bounds peak memory at
-#: ``chunk × n`` floats instead of ``n × n``).
-DEFAULT_CHUNK = 2048
-
-#: Below this the grid bookkeeping costs more than the dense matrix.
-_GRID_MIN_POINTS = 64
-
-#: The grid bins on at most this many dimensions — in high-dimensional
-#: telemetry 3^d adjacent cells is intractable, and binning on the
-#: widest-spread axes already prunes most candidate pairs (any true
-#: ε-neighbour is within ε along every axis, so adjacent cells along the
-#: projection are a superset of the true neighbourhood).
-_GRID_MAX_DIMS = 3
-
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix (fine for the few-hundred-point runs)."""
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    """Dense Euclidean distance matrices over the last two axes.
+
+    *points* is one ``(n, d)`` set or a stack ``(..., n, d)``.
+    ``2.0 * points @ points.T`` binds as ``(2.0 * points) @ points.T``:
+    the doubling happens before the matrix product, in the serial fit
+    and the batch path alike, which keeps them equal ulp for ulp.
+    """
+    sq = np.sum(points * points, axis=-1)
+    d2 = (
+        sq[..., :, None]
+        + sq[..., None, :]
+        - 2.0 * points @ np.swapaxes(points, -1, -2)
+    )
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
 
 
-def k_distances(
-    points: np.ndarray, k: int, chunk_size: int = DEFAULT_CHUNK
-) -> np.ndarray:
+def _kth_neighbour(distances: np.ndarray, k: int) -> np.ndarray:
+    """Each row's distance to its k-th nearest neighbour.
+
+    Entry 0 of a sorted row is the self-distance (0), so the k-th
+    neighbour is order statistic k, which ``np.partition`` finds
+    directly; ``k`` is capped at the other points available.
+    """
+    k = min(k, distances.shape[-1] - 1)
+    if k == 0:
+        return np.zeros(distances.shape[:-1])
+    return np.partition(distances, k, axis=-1)[..., k]
+
+
+def k_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point to its k-th nearest neighbour (k-dist list).
 
     ``k`` counts neighbours excluding the point itself, following the
-    original DBSCAN paper's sorted k-dist graph heuristic.  Distances are
-    evaluated ``chunk_size`` rows at a time and the k-th order statistic
-    taken with ``np.partition``, so peak memory is O(chunk × n).
+    original DBSCAN paper's sorted k-dist graph heuristic.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    n = points.shape[0]
-    if n == 0:
+    if points.shape[0] == 0:
         return np.zeros(0)
     if k < 1:
         raise ValueError("k must be at least 1")
-    k = min(k, n - 1)
-    if k == 0:
-        return np.zeros(n)
-    sq = np.sum(points * points, axis=1)
-    out = np.empty(n)
-    for start in range(0, n, max(int(chunk_size), 1)):
-        stop = min(start + max(int(chunk_size), 1), n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * points[start:stop] @ points.T
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.sqrt(d2)
-        # Column 0 of the sorted row is the self-distance (0); the k-th
-        # neighbour is order statistic k, which partition finds directly.
-        out[start:stop] = np.partition(rows, k, axis=1)[:, k]
-    return out
+    return _kth_neighbour(_pairwise_distances(points), k)
 
 
-def _grid_neighbours(
-    points: np.ndarray, eps: float
-) -> List[np.ndarray]:
-    """ε-neighbour lists via uniform-grid binning + blocked distances.
+def _auto_eps(kd: np.ndarray) -> np.ndarray:
+    """DBSherlock's ``ε = max(Lk)/4`` over the last axis, floored.
 
-    Points are binned into cells of side ε along the (at most
-    ``_GRID_MAX_DIMS``) widest-spread dimensions; each cell block is
-    compared against the union of its 3^g adjacent cells in one small
-    matrix product.  Neighbour lists come back in ascending index order,
-    matching the dense ``np.flatnonzero`` path.
+    When the k-dist curve is flat the heuristic can land below the
+    typical neighbour distance and dissolve every cluster, so ε is
+    floored at the 95th percentile of Lk (keeping cluster-dense points
+    core).
     """
-    n, d = points.shape
-    spans = points.max(axis=0) - points.min(axis=0)
-    order = np.argsort(-spans, kind="stable")
-    dims = order[: min(d, _GRID_MAX_DIMS)]
-    proj = points[:, dims]
-    mins = proj.min(axis=0)
-    coords = np.floor((proj - mins) / eps).astype(np.int64)
-
-    cells: Dict[Tuple[int, ...], List[int]] = {}
-    for i, key in enumerate(map(tuple, coords)):
-        cells.setdefault(key, []).append(i)
-    cell_index = {key: np.asarray(idx, dtype=np.int64) for key, idx in cells.items()}
-
-    g = len(dims)
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-1, 2)] * g), indexing="ij"), axis=-1
-    ).reshape(-1, g)
-
-    sq = np.sum(points * points, axis=1)
-    neighbours: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for key, members in cell_index.items():
-        cand_blocks = []
-        base = np.asarray(key, dtype=np.int64)
-        for off in offsets:
-            block = cell_index.get(tuple(base + off))
-            if block is not None:
-                cand_blocks.append(block)
-        cand = np.sort(np.concatenate(cand_blocks))
-        d2 = (
-            sq[members][:, None]
-            + sq[cand][None, :]
-            - 2.0 * points[members] @ points[cand].T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        within = np.sqrt(d2) <= eps
-        for row, i in enumerate(members):
-            neighbours[i] = cand[within[row]]
-    return neighbours
-
-
-def _dense_neighbours(points: np.ndarray, eps: float) -> List[np.ndarray]:
-    distances = _pairwise_distances(points)
-    return [np.flatnonzero(distances[i] <= eps) for i in range(points.shape[0])]
+    return np.maximum(kd.max(axis=-1) / 4.0, np.quantile(kd, 0.95, axis=-1))
 
 
 class DBSCAN:
@@ -173,41 +113,15 @@ class DBSCAN:
     min_pts:
         Minimum neighbourhood size (including the point itself) for a core
         point.  DBSherlock fixes this to 3.
-    index:
-        Neighbour-search backend: ``"grid"`` (uniform-grid binning),
-        ``"dense"`` (full distance matrix), or ``"auto"`` (grid once the
-        input outgrows the dense crossover).  Both backends produce the
-        same neighbour sets; the grid is the production path for the
-        streaming detector's per-tick re-clustering.
     """
 
-    def __init__(
-        self,
-        eps: Optional[float] = None,
-        min_pts: int = 3,
-        index: str = "auto",
-    ) -> None:
+    def __init__(self, eps: Optional[float] = None, min_pts: int = 3) -> None:
         if min_pts < 1:
             raise ValueError("min_pts must be at least 1")
-        if index not in ("auto", "grid", "dense"):
-            raise ValueError("index must be 'auto', 'grid', or 'dense'")
         self.eps = eps
         self.min_pts = min_pts
-        self.index = index
         self.labels_: Optional[np.ndarray] = None
         self.eps_: Optional[float] = None
-
-    def _neighbour_lists(
-        self, points: np.ndarray, eps: float
-    ) -> List[np.ndarray]:
-        use_grid = self.index == "grid" or (
-            self.index == "auto" and points.shape[0] >= _GRID_MIN_POINTS
-        )
-        if use_grid:
-            _GRID_FITS.inc()
-            return _grid_neighbours(points, eps)
-        _DENSE_FITS.inc()
-        return _dense_neighbours(points, eps)
 
     def fit(self, points: np.ndarray) -> "DBSCAN":
         """Cluster *points*; labels land in ``labels_`` (NOISE = -1)."""
@@ -222,15 +136,9 @@ class DBSCAN:
 
         eps = self.eps
         if eps is None:
-            kd = k_distances(points, self.min_pts)
-            if kd.size:
-                # DBSherlock's heuristic is ε = max(Lk)/4; when the k-dist
-                # curve is flat that can land below the typical neighbour
-                # distance and dissolve every cluster, so we floor ε at the
-                # 95th percentile of Lk (keeping cluster-dense points core).
-                eps = max(float(kd.max()) / 4.0, float(np.quantile(kd, 0.95)))
-            else:
-                eps = 0.0
+            # ε from its own k-dist pass, not the matrix below: this fit is
+            # the serial leg of bench_fleet.py's storm floor (ROADMAP 3).
+            eps = float(_auto_eps(k_distances(points, self.min_pts)))
         if eps <= 0:
             # Degenerate geometry (all points identical): one cluster.
             self.labels_ = np.zeros(n, dtype=np.int64)
@@ -238,8 +146,10 @@ class DBSCAN:
             return self
         self.eps_ = eps
 
-        neighbours = self._neighbour_lists(points, eps)
-        counts = np.asarray([nb.size for nb in neighbours], dtype=np.int64)
+        _DENSE_FITS.inc()
+        within = _pairwise_distances(points) <= eps
+        neighbours = [np.flatnonzero(row) for row in within]
+        counts = within.sum(axis=1)
         labels = np.full(n, NOISE, dtype=np.int64)
         visited = np.zeros(n, dtype=bool)
         cluster_id = 0
@@ -288,8 +198,7 @@ class DBSCAN:
 
 
 #: Element budget for one batched ``(block, n, n)`` distance stack —
-#: bounds peak memory the same way ``DEFAULT_CHUNK`` bounds the serial
-#: k-dist evaluation.
+#: bounds peak memory however many sets the caller stacks.
 _BATCH_ELEMENT_BUDGET = 4_000_000
 
 
@@ -356,8 +265,8 @@ def dbscan_labels_batch(
     ownership are all the same arithmetic, just evaluated across the
     leading axis — so the returned ``(labels, eps)`` pair is
     bitwise-identical to the serial loop (asserted by the equivalence
-    tests).  Sets are processed in blocks sized to the same element
-    budget the serial chunked path uses.
+    tests).  Sets are processed in blocks of at most
+    ``_BATCH_ELEMENT_BUDGET`` distance entries.
     """
     points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if points.ndim != 3:
@@ -370,28 +279,11 @@ def dbscan_labels_batch(
     if n_sets == 0 or n == 0:
         return labels, eps_out
     _BATCH_FITS.inc(n_sets)
-    k = min(min_pts, n - 1)
     block_size = max(1, _BATCH_ELEMENT_BUDGET // (n * n))
     for start in range(0, n_sets, block_size):
         stop = min(start + block_size, n_sets)
-        block = points[start:stop]
-        sq = np.sum(block * block, axis=2)
-        # NB: the serial paths spell this ``... - 2.0 * points @ points.T``,
-        # which binds as ``(2.0 * points) @ points.T`` — the doubling
-        # happens *before* the matrix product.  Reproduce that exactly,
-        # ulp for ulp.
-        d2 = sq[:, :, None] + sq[:, None, :] - np.matmul(
-            2.0 * block, block.transpose(0, 2, 1)
-        )
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        if k == 0:
-            kd = np.zeros((stop - start, n))
-        else:
-            kd = np.partition(dist, k, axis=2)[:, :, k]
-        eps = np.maximum(
-            kd.max(axis=1) / 4.0, np.quantile(kd, 0.95, axis=1)
-        )
+        dist = _pairwise_distances(points[start:stop])
+        eps = _auto_eps(_kth_neighbour(dist, min_pts))
         eps_out[start:stop] = eps
         active = eps > 0
         if not bool(active.any()):

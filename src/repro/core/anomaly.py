@@ -22,6 +22,7 @@ from repro.data.dataset import Dataset
 from repro.data.regions import Region, RegionSpec
 
 __all__ = [
+    "median_of_sorted",
     "potential_power",
     "impute_missing",
     "AnomalyDetector",
@@ -35,6 +36,43 @@ DEFAULT_PP_THRESHOLD = 0.3
 DEFAULT_CLUSTER_FRACTION = 0.2
 
 
+def median_of_sorted(
+    ordered: np.ndarray, n: Union[int, np.ndarray]
+) -> np.ndarray:
+    """``np.median`` of the first *n* entries of each sorted lane.
+
+    *ordered* is sorted ascending on its last axis, so NaN and the
+    arena's never-written ``+inf`` slots sit past every lane's valid
+    entries.  *n* is one count for every lane or an integer array
+    whose shape is a prefix of the lanes' shape ``ordered.shape[:-1]``
+    (one count per stream, say, shared by that stream's attributes); a
+    count of 0 reads NaN.  An odd count reads the middle element as is,
+    exactly as ``np.median`` does, rather than averaging it with itself.
+    This is the one Equation 4 median reader: :func:`potential_power`,
+    :func:`impute_missing` and the fleet arena all read through it.
+    """
+    if np.ndim(n) == 0:
+        n = int(n)
+        if n == 0:
+            return np.full(ordered.shape[:-1], np.nan)
+        lo = ordered[..., (n - 1) // 2]
+        return lo.copy() if n % 2 else (lo + ordered[..., n // 2]) / 2.0
+    n = np.asarray(n)
+    lanes = np.ix_(*map(np.arange, n.shape))
+    odd = (n & 1).astype(bool).reshape(
+        n.shape + (1,) * (ordered.ndim - 1 - n.ndim)
+    )
+    # A count of 0 reads index -1 (in bounds; overwritten below).  Fancy
+    # reads are fresh copies, so the average is formed in place.
+    lo = ordered[(*lanes, Ellipsis, (n - 1) // 2)]
+    med = ordered[(*lanes, Ellipsis, n // 2)]
+    med += lo
+    med /= 2.0
+    np.copyto(med, lo, where=odd)
+    med[n == 0] = np.nan
+    return med
+
+
 def potential_power(
     values: np.ndarray, window: int = DEFAULT_WINDOW
 ) -> Union[float, np.ndarray]:
@@ -46,10 +84,12 @@ def potential_power(
 
     Works along the last axis: one attribute ``(R,)`` gives a float,
     stacked lanes ``(..., R)`` (attributes, or streams × attributes) give
-    an array of powers with the sample axis reduced away.  The sliding
-    windows are one ``sliding_window_view`` and their medians one
-    ``np.median(axis=-1)`` call, so each lane's power is independent of
-    how lanes are stacked.
+    an array of powers with the sample axis reduced away.  Each lane and
+    each of its sliding windows is sorted once and read through
+    :func:`median_of_sorted`, so each lane's power is independent of how
+    lanes are stacked.  NaN cells (degraded telemetry) sort last and
+    drop out of the valid counts: medians cover the valid samples only,
+    and a lane (or window) with no valid sample has zero power.
     """
     values = np.asarray(values, dtype=np.float64)
     lead = values.shape[:-1]
@@ -58,22 +98,26 @@ def potential_power(
         powers = np.zeros(lead)
     else:
         window = max(min(int(window), n), 1)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            values, window, axis=-1
+        windows = np.sort(
+            np.lib.stride_tricks.sliding_window_view(values, window, axis=-1),
+            axis=-1,
         )
-        if np.isnan(values).any():
-            # degraded telemetry: medians over the valid samples only; a
-            # lane (or window) with no valid samples has zero power.
+        ordered = np.sort(values, axis=-1)
+        valid = ~np.isnan(values)
+        if valid.all():
+            overall = median_of_sorted(ordered, n)
+            locals_ = median_of_sorted(windows, window)
+            powers = np.max(np.abs(overall[..., None] - locals_), axis=-1)
+        else:
+            overall = median_of_sorted(ordered, valid.sum(axis=-1))
+            counts = np.lib.stride_tricks.sliding_window_view(
+                valid, window, axis=-1
+            ).sum(axis=-1)
+            locals_ = median_of_sorted(windows, counts)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                overall = np.nanmedian(values, axis=-1)
-                locals_ = np.nanmedian(windows, axis=-1)
                 powers = np.nanmax(np.abs(overall[..., None] - locals_), axis=-1)
             powers = np.nan_to_num(powers, nan=0.0)
-        else:
-            overall = np.median(values, axis=-1)
-            locals_ = np.median(windows, axis=-1)
-            powers = np.max(np.abs(overall[..., None] - locals_), axis=-1)
     return float(powers) if values.ndim == 1 else powers
 
 
@@ -88,9 +132,7 @@ def impute_missing(matrix: np.ndarray) -> np.ndarray:
     if not nan.any():
         return matrix
     out = matrix.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fill = np.nanmedian(out, axis=0)
+    fill = median_of_sorted(np.sort(matrix.T, axis=-1), (~nan).sum(axis=0))
     fill = np.nan_to_num(fill, nan=0.5)
     cols = np.nonzero(nan)[1]
     out[nan] = fill[cols]
@@ -239,10 +281,17 @@ class AnomalyDetector:
     def select_attributes(
         self, dataset: Dataset, attributes: Optional[Sequence[str]] = None
     ) -> List[str]:
-        """Numeric attributes whose potential power exceeds the threshold.
+        """Numeric attributes whose potential power exceeds the threshold."""
+        return self._selected_rows(dataset, attributes)[0]
+
+    def _selected_rows(
+        self, dataset: Dataset, attributes: Optional[Sequence[str]]
+    ) -> Tuple[List[str], np.ndarray]:
+        """The selected attributes and their normalized ``(k, R)`` rows.
 
         All candidate columns are stacked, normalized, and scored in one
-        :func:`normalize_values` and one :func:`potential_power` call.
+        :func:`normalize_values` and one :func:`potential_power` call;
+        :meth:`detect` clusters the selected rows of that same stack.
         """
         names = (
             [a for a in attributes if dataset.is_numeric(a)]
@@ -250,18 +299,18 @@ class AnomalyDetector:
             else dataset.numeric_attributes
         )
         if not names or dataset.n_rows == 0:
-            return []
+            return [], np.zeros((0, dataset.n_rows))
         matrix = normalize_values(
             np.stack([dataset.column(a) for a in names])
         )
-        powers = potential_power(matrix, self.window)
-        return [a for a, p in zip(names, powers) if p > self.pp_threshold]
+        keep = potential_power(matrix, self.window) > self.pp_threshold
+        return [a for a, k in zip(names, keep) if k], matrix[keep]
 
     def detect(
         self, dataset: Dataset, attributes: Optional[Sequence[str]] = None
     ) -> DetectionResult:
         """Run the full detection pipeline on *dataset*."""
-        selected = self.select_attributes(dataset, attributes)
+        selected, rows = self._selected_rows(dataset, attributes)
         n = dataset.n_rows
         if not selected or n == 0:
             return DetectionResult(
@@ -270,11 +319,7 @@ class AnomalyDetector:
                 selected_attributes=[],
                 eps=0.0,
             )
-        matrix = impute_missing(
-            np.column_stack(
-                [normalize_values(dataset.column(a)) for a in selected]
-            )
-        )
+        matrix = impute_missing(np.ascontiguousarray(rows.T))
         return self._cluster_and_mask(matrix, dataset.timestamps, selected)
 
     def _cluster_and_mask(
@@ -285,11 +330,12 @@ class AnomalyDetector:
     ) -> DetectionResult:
         """Cluster the normalized attribute matrix and build the result.
 
-        Shared verbatim by :class:`repro.stream.StreamingDetector`, which
-        swaps only the attribute-selection stage for its incremental
-        Equation 4 trackers — everything downstream of selection runs
-        through this single code path, so batch and streaming results can
-        only diverge at selection.
+        *matrix* is ``(rows, selected attributes)``.  The fleet engine
+        (and so :class:`repro.stream.StreamingDetector`, a one-lane
+        fleet) selects attributes from its arena's Equation 4 stats; its
+        serial fallout path (:func:`repro.fleet.fallout.cluster_window`)
+        then clusters each flagged window through this method, and its
+        batched path is asserted bitwise-equal to that serial path.
         """
         n = matrix.shape[0]
         clusterer = DBSCAN(eps=None, min_pts=self.min_pts)

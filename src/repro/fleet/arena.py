@@ -21,8 +21,10 @@ that ring, a fixed number of dense numpy calls over the whole fleet:
   slots, and order inside the ring does not matter to a sort — and
   reads median, min and max off the sorted rows.
 
-Medians use ``(S[(n-1)//2] + S[n//2]) / 2`` over the sorted lane — the
-exact ``np.median`` reduction.
+Medians are read off the sorted lanes by
+:func:`repro.core.anomaly.median_of_sorted`, the same reader the batch
+:func:`~repro.core.anomaly.potential_power` uses — the exact
+``np.median`` reduction.
 
 :class:`ArenaWindow` presents one stream's slice of the arena as a
 telemetry window (``timestamps`` / ``column`` / ``bounds`` /
@@ -38,25 +40,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.core.anomaly import median_of_sorted
 from repro.data.dataset import Dataset
 
 __all__ = ["ArenaStats", "ArenaWindow", "FleetArena"]
-
-
-def _median_of_sorted(ordered: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``np.median`` of the first *n* entries of each sorted lane.
-
-    *ordered* is ``(streams, attrs, k)`` sorted ascending on the last
-    axis; *n* is ``(streams,)`` (lanes of one stream share a count).
-    An odd count reads the middle element as is, exactly as
-    ``np.median`` does, rather than averaging it with itself.
-    """
-    rows = np.arange(ordered.shape[0])
-    k1 = np.maximum((n - 1) // 2, 0)
-    k2 = np.minimum(n // 2, ordered.shape[2] - 1)
-    lo = ordered[rows, :, k1]
-    hi = ordered[rows, :, k2]
-    return np.where((k1 == k2)[:, None], lo, (lo + hi) / 2.0)
 
 
 @dataclass
@@ -170,7 +157,7 @@ class FleetArena:
             runs = sliding_window_view(self._vals, w, axis=2)
             trailing = runs[self._rows, :, slot + (cap - w + 1)]
             trailing.sort(axis=2)
-            meds = _median_of_sorted(trailing, np.full(self.n_streams, w))
+            meds = median_of_sorted(trailing, w)
             ring_slot = self.appended[ready] % self._ring_len
             self._medring[ring_slot, ready] = meds[ready]
 
@@ -184,7 +171,7 @@ class FleetArena:
         ordered = np.sort(self._vals[:, :, : self.capacity], axis=2)
         mins = ordered[:, :, 0].copy()
         maxs = ordered[self._rows, :, np.maximum(n - 1, 0)]
-        overall = _median_of_sorted(ordered, n)
+        overall = median_of_sorted(ordered, n)
         med_min = np.fmin.reduce(self._medring, axis=0)
         med_max = np.fmax.reduce(self._medring, axis=0)
         with np.errstate(invalid="ignore"):  # empty lanes: inf - inf

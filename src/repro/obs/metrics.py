@@ -13,8 +13,8 @@ format) and :meth:`MetricsRegistry.to_json` / :meth:`snapshot` (plain
 dicts — what :mod:`repro.obs.dogfood` samples into a ``Dataset``).
 
 Single-stream instruments are label-free: distinct code paths get
-distinct metric names (``repro_dbscan_grid_fits_total`` vs
-``repro_dbscan_dense_fits_total``), which also keeps the dogfood
+distinct metric names (``repro_dbscan_dense_fits_total`` vs
+``repro_dbscan_batch_fits_total``), which also keeps the dogfood
 ``Dataset`` attribute list stable.  The fleet layer
 (:mod:`repro.fleet.scheduler`) is the one consumer that genuinely needs
 label cardinality — per-tenant lag/shed/verdict series — so

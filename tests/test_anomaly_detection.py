@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.anomaly import (
     AnomalyDetector,
     mask_to_regions,
+    median_of_sorted,
     potential_power,
 )
 from repro.core.separation import normalize_values
@@ -18,6 +20,73 @@ def step_series(n=200, start=100, width=40, lo=0.0, hi=1.0, noise=0.0, seed=0):
     values = np.full(n, lo) + rng.normal(0, noise, n)
     values[start : start + width] = hi + rng.normal(0, noise, width)
     return values
+
+
+# Small values with repeats and both signed zeros, so lanes tie often.
+_TIES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+_SPREAD = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+
+
+@st.composite
+def _padded_lanes(draw):
+    """Lanes of *k* slots, the first *n* of each drawn and the rest padding.
+
+    *n* is one scalar or one count per leading index over a prefix of
+    the lane axes; padding is NaN or ``+inf``, both of which sort last.
+    """
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    k = draw(st.integers(1, 7))
+    size = int(np.prod(lead, dtype=np.int64)) * k
+    cells = np.asarray(
+        draw(
+            st.lists(
+                st.one_of(_TIES, _SPREAD), min_size=size, max_size=size
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(lead + (k,))
+    prefix = draw(st.integers(0, len(lead)))
+    if prefix == 0 and draw(st.booleans()):
+        counts = draw(st.integers(0, k))
+    else:
+        shape = lead[:prefix]
+        total = int(np.prod(shape, dtype=np.int64))
+        counts = np.asarray(
+            draw(st.lists(st.integers(0, k), min_size=total, max_size=total)),
+            dtype=np.int64,
+        ).reshape(shape)
+    pad = draw(st.sampled_from([np.nan, np.inf]))
+    return cells, counts, pad
+
+
+class TestMedianOfSorted:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_padded_lanes())
+    @example(case=(np.array([[-0.0, 0.0, 1.0]]), 2, np.nan))
+    @example(case=(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 2]), np.inf))
+    @example(case=(np.array([5.0, 1.0, 3.0]), 0, np.inf))
+    def test_matches_numpy_median_of_valid_prefix(self, case):
+        """Each lane reads ``np.median`` of its first *n* sorted entries
+        (NaN when *n* is 0), through ties, signed zeros, scalar and
+        per-lane counts, and NaN or ``+inf`` padding."""
+        cells, counts, pad = case
+        lead, k = cells.shape[:-1], cells.shape[-1]
+        tail = (1,) * (len(lead) - np.ndim(counts))
+        per_lane = np.broadcast_to(
+            np.reshape(counts, np.shape(counts) + tail), lead
+        )
+        padded = np.where(
+            np.arange(k) < per_lane[..., None], cells, pad
+        )
+        ordered = np.sort(padded, axis=-1)
+        got = median_of_sorted(ordered, counts)
+        assert got.shape == lead
+        for idx in np.ndindex(*lead):
+            n = int(per_lane[idx])
+            if n == 0:
+                assert np.isnan(got[idx])
+            else:
+                assert got[idx] == np.median(ordered[idx][:n])
 
 
 class TestPotentialPower:

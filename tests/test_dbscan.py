@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.dbscan import DBSCAN, NOISE, k_distances
+from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels_batch, k_distances
 
 
 def two_blobs(n=30, separation=10.0, seed=0):
@@ -146,6 +146,14 @@ class TestDBSCAN:
 
 
 class TestGridIndex:
+    """The serial fit against the batched kernel with the ε heuristic.
+
+    The uniform-grid neighbour index these tests once checked against
+    the dense path is gone; every fit now reads ε and its neighbour
+    lists off one dense distance matrix, and the independent reference
+    for that is :func:`dbscan_labels_batch`, which shares none of the
+    BFS code."""
+
     def random_points(self, n, d, seed):
         rng = np.random.default_rng(seed)
         return np.vstack(
@@ -155,34 +163,20 @@ class TestGridIndex:
             ]
         )
 
+    @staticmethod
+    def assert_fit_matches_batch(pts):
+        fit = DBSCAN(eps=None, min_pts=3).fit(pts)
+        labels, eps = dbscan_labels_batch(pts[None], min_pts=3)
+        assert fit.eps_ == eps[0]
+        assert np.array_equal(fit.labels_, labels[0])
+
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_grid_matches_dense_labels(self, d):
         for seed in range(5):
-            pts = self.random_points(120, d, seed)
-            grid = DBSCAN(eps=0.8, min_pts=3, index="grid").fit_predict(pts)
-            dense = DBSCAN(eps=0.8, min_pts=3, index="dense").fit_predict(pts)
-            assert np.array_equal(grid, dense)
+            self.assert_fit_matches_batch(self.random_points(120, d, seed))
 
     def test_grid_matches_dense_with_auto_eps(self):
-        pts = self.random_points(150, 3, seed=42)
-        grid = DBSCAN(eps=None, min_pts=3, index="grid").fit(pts)
-        dense = DBSCAN(eps=None, min_pts=3, index="dense").fit(pts)
-        assert grid.eps_ == dense.eps_
-        assert np.array_equal(grid.labels_, dense.labels_)
-
-    def test_auto_uses_grid_above_crossover(self):
-        from repro.cluster.dbscan import _GRID_MIN_POINTS
-
-        small = self.random_points(_GRID_MIN_POINTS - 4, 2, seed=1)
-        large = self.random_points(_GRID_MIN_POINTS + 40, 2, seed=1)
-        for pts in (small, large):
-            auto = DBSCAN(eps=0.8, min_pts=3, index="auto").fit_predict(pts)
-            dense = DBSCAN(eps=0.8, min_pts=3, index="dense").fit_predict(pts)
-            assert np.array_equal(auto, dense)
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            DBSCAN(index="kdtree")
+        self.assert_fit_matches_batch(self.random_points(150, 3, seed=42))
 
 
 class TestChunkedKDistances:
@@ -190,8 +184,6 @@ class TestChunkedKDistances:
         from tests.golden_stream import golden_k_distances
 
         pts = two_blobs(n=50, seed=6)
-        golden = golden_k_distances(pts, 3)
-        for chunk in (1, 7, 64, 10_000):
-            np.testing.assert_allclose(
-                k_distances(pts, 3, chunk_size=chunk), golden, atol=1e-9
-            )
+        np.testing.assert_allclose(
+            k_distances(pts, 3), golden_k_distances(pts, 3), atol=1e-9
+        )

@@ -377,3 +377,24 @@ class TestNaNHardening:
         matrix = np.array([[np.nan, 1.0], [np.nan, 2.0]])
         filled = impute_missing(matrix)
         assert np.all(filled[:, 0] == 0.5)
+
+    def test_impute_missing_matches_nanmedian_fill_under_fuzz(self):
+        rng = np.random.default_rng(16)
+        ties = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+        for _ in range(200):
+            rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+            matrix = np.where(
+                rng.random((rows, cols)) < 0.5,
+                rng.choice(ties, size=(rows, cols)),
+                rng.normal(size=(rows, cols)),
+            )
+            matrix[rng.random((rows, cols)) < rng.random()] = np.nan
+            if rng.random() < 0.3:
+                matrix[:, int(rng.integers(cols))] = np.nan
+            expected = matrix.copy()
+            for j in range(cols):
+                col = expected[:, j]
+                nan = np.isnan(col)
+                if nan.any():
+                    col[nan] = np.nanmedian(col) if not nan.all() else 0.5
+            assert np.array_equal(impute_missing(matrix), expected)

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.anomaly import AnomalyDetector
+from repro.core.anomaly import AnomalyDetector, median_of_sorted
 from repro.core.explain import DBSherlock
 from repro.eval.chaos import PROFILES
 from repro.fleet import FleetDetector, FleetScheduler, FleetSimSource
-from repro.fleet.arena import FleetArena, _median_of_sorted
+from repro.fleet.arena import FleetArena
 from repro.fleet.engine import TICK_STAGES
 from repro.fleet.status import render_fleet_status
 from repro.obs import metrics
@@ -58,7 +58,7 @@ class TestSortedWindowBank:
             arena.append(np.full(lanes, float(t)), values[:, None], active)
             stats = arena.stats()
             ordered = _sorted_lanes(arena)
-            meds = _median_of_sorted(ordered, arena.sizes)
+            meds = median_of_sorted(ordered, arena.sizes)
             for lane in range(lanes):
                 buf = np.asarray(buffers[lane])
                 assert stats.sizes[lane] == buf.size
@@ -85,7 +85,7 @@ class TestSortedWindowBank:
         stats = arena.stats()
         assert np.isinf(stats.mins[1, 0])
         assert stats.powers[1, 0] == 0.0
-        meds = _median_of_sorted(_sorted_lanes(arena), arena.sizes)
+        meds = median_of_sorted(_sorted_lanes(arena), arena.sizes)
         assert meds[0, 0] == 1.0
         assert meds[2, 0] == 3.0
 
